@@ -692,102 +692,6 @@ pub fn check_seed(seed: u64, cfg: &CheckConfig) -> Result<(), CheckFailure> {
     check_program(&gen_for(seed, cfg), seed, cfg)
 }
 
-/// The first observable on which a cold-planner run and a warm-cache
-/// run of the same program disagreed, or `None` when they matched
-/// everywhere — including the merged span timeline, byte for byte.
-fn diff_cache_runs(cold: &run::CacheRun, warm: &run::CacheRun) -> Option<String> {
-    let a = &cold.observed;
-    let b = &warm.observed;
-    let fields: [(&str, bool); 12] = [
-        ("final arrays", a.arrays != b.arrays),
-        ("reduction values", a.reduces != b.reduces),
-        ("mapping snapshot", a.mappings != b.mappings),
-        ("degradation ledger", a.degradations != b.degradations),
-        ("adaptive profiles", a.profiles != b.profiles),
-        ("race count", a.races != b.races),
-        ("peer-copy ledger", a.peer_copies != b.peer_copies),
-        ("rescue ledger", a.rescues != b.rescues),
-        ("integrity ledger", a.integrity_events != b.integrity_events),
-        ("overlap ledger", a.overlap != b.overlap),
-        ("first error", a.error != b.error),
-        ("span timeline", cold.timeline != warm.timeline),
-    ];
-    fields
-        .iter()
-        .find(|(_, differs)| *differs)
-        .map(|(name, _)| format!("cold planner vs warm cache diverged on the {name}"))
-}
-
-/// The cold-vs-warm differential for one generated program: execute it
-/// twice through [`run::execute_cached`] — once with the launch-plan
-/// cache disabled (every construct plans from scratch) and once with it
-/// enabled — and demand every observable identical: final arrays,
-/// reduction values, `RtError`s, the degradation / rescue / integrity /
-/// overlap / peer ledgers, adaptive profiles, mapping snapshots, and
-/// the merged span timeline byte for byte. Returns the warm leg's
-/// cache counters so a sweep can assert the cache actually served hits.
-pub fn cache_parity_seed(
-    seed: u64,
-    cfg: &CheckConfig,
-) -> Result<spread_rt::PlanCacheStats, CheckFailure> {
-    let p = gen_for(seed, cfg);
-    let exchange = if cfg.peer {
-        spread_core::ExchangeMode::Auto
-    } else {
-        spread_core::ExchangeMode::Host
-    };
-    let tie = TieBreak::Fifo;
-    let cold = run::execute_cached(&p, tie, cfg.fault, exchange, false);
-    let warm = run::execute_cached(&p, tie, cfg.fault, exchange, true);
-    if cold.plan.hits != 0 || cold.plan.misses != 0 {
-        return Err(CheckFailure {
-            tie,
-            detail: format!(
-                "disabled cache still counted {} hit(s) / {} miss(es)",
-                cold.plan.hits, cold.plan.misses
-            ),
-        });
-    }
-    if let Some(detail) = diff_cache_runs(&cold, &warm) {
-        return Err(CheckFailure { tie, detail });
-    }
-    Ok(warm.plan)
-}
-
-/// Summary of a cache-parity sweep.
-#[derive(Clone, Debug, Default)]
-pub struct ParityReport {
-    /// Programs diffed (two executions each).
-    pub programs: usize,
-    /// Warm-leg cache hits across the sweep.
-    pub hits: u64,
-    /// Warm-leg cache misses across the sweep.
-    pub misses: u64,
-    /// Warm-leg epoch invalidations across the sweep.
-    pub invalidations: u64,
-    /// Failing seeds (empty when cold and warm agree everywhere).
-    pub failures: Vec<FuzzFailure>,
-}
-
-/// Sweep `programs` seeds derived from `seed0` through
-/// [`cache_parity_seed`], aggregating the warm-leg cache counters.
-pub fn cache_parity(seed0: u64, programs: usize, cfg: &CheckConfig) -> ParityReport {
-    let mut report = ParityReport::default();
-    for i in 0..programs {
-        let seed = spread_prng::mix(seed0, i as u64);
-        match cache_parity_seed(seed, cfg) {
-            Ok(stats) => {
-                report.hits += stats.hits;
-                report.misses += stats.misses;
-                report.invalidations += stats.invalidations;
-            }
-            Err(failure) => report.failures.push(FuzzFailure { seed, failure }),
-        }
-        report.programs += 1;
-    }
-    report
-}
-
 /// One failing seed of a fuzzing run.
 #[derive(Clone, Debug)]
 pub struct FuzzFailure {

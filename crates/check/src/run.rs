@@ -32,7 +32,7 @@ use spread_rt::{OverlapRecord, RescueRecord};
 pub const SPILL_STAGING_BYTES: u64 = 64;
 
 /// Everything observed from one execution.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Observed {
     /// Final host arrays.
     pub arrays: Vec<Vec<f64>>,
@@ -71,20 +71,6 @@ pub struct Observed {
     pub error: Option<RtError>,
 }
 
-/// One [`execute_cached`] run: the ordinary observables plus the two
-/// things the cache-parity suite additionally diffs — the full span
-/// timeline and the plan-cache counters.
-#[derive(Clone, Debug)]
-pub struct CacheRun {
-    /// Everything [`execute_ex`] observes.
-    pub observed: Observed,
-    /// The merged span timeline (tracing is forced on for both parity
-    /// legs so the comparison covers it byte for byte).
-    pub timeline: Vec<spread_trace::Span>,
-    /// Hit/miss/invalidation counters and planning-time totals.
-    pub plan: spread_rt::PlanCacheStats,
-}
-
 /// Build the harness's machine: uniform devices with ample memory, two
 /// team threads, tracing off unless the program uses
 /// `spread_schedule(auto)` (the conformance assertions do not need span
@@ -104,7 +90,6 @@ fn runtime(
     integrity: Option<&IntegritySpec>,
     peer_flip: Option<u32>,
     trace: bool,
-    plan_cache: Option<bool>,
 ) -> Runtime {
     // Pressure programs run on their spec's tiny capacity; everything
     // else gets ample memory so admission never interferes.
@@ -119,9 +104,6 @@ fn runtime(
         .with_team_threads(2)
         .with_trace(trace)
         .with_tie_break(tie);
-    if let Some(on) = plan_cache {
-        cfg = cfg.with_plan_cache(on);
-    }
     // A fixed plan seed: it only feeds retry-backoff jitter, which
     // shifts virtual timing, never results.
     let mut plan = FaultPlan::new(0xFA17);
@@ -179,30 +161,12 @@ fn issue_spread(
     integrity: Option<IntegrityMode>,
     overlap: Option<u32>,
     leak_overlap: bool,
-    plan_key: bool,
     op: &KernelOp,
 ) -> Result<(), RtError> {
     let range = op.range(n);
     let mut b = TargetSpread::devices(devices.iter().copied())
-        .with_schedule(sched.clone())
+        .with_schedule(sched)
         .with_resilience(resilience);
-    // Parity mode: key every static-schedule construct by its kernel-op
-    // shape. One op variant ⇔ one closure shape, so the
-    // `spread_plan_cache` one-key-one-construct contract holds; the
-    // fingerprint separates everything else (devices, schedule, arrays).
-    if plan_key
-        && matches!(
-            sched,
-            SpreadSchedule::Static { .. } | SpreadSchedule::StaticWeighted { .. }
-        )
-    {
-        b = b.with_plan_cache(match op {
-            KernelOp::AddConst { .. } => "addc",
-            KernelOp::Scale { .. } => "scale",
-            KernelOp::Saxpy { .. } => "saxpy",
-            KernelOp::Stencil3 { .. } => "stencil",
-        });
-    }
     if let Some(mode) = integrity {
         b = b.with_integrity(mode);
     }
@@ -321,7 +285,6 @@ fn issue(
     exchange: ExchangeMode,
     integrity: Option<IntegrityMode>,
     leak_overlap: bool,
-    plan_key: bool,
     stmt: &Stmt,
 ) -> Result<(), RtError> {
     let resilience = if p.resilient() {
@@ -350,7 +313,6 @@ fn issue(
             integrity,
             p.overlap_depth(),
             leak_overlap,
-            plan_key,
             op,
         ),
         Stmt::Reduce {
@@ -364,30 +326,23 @@ fn issue(
             let ha = handles[*a];
             let hp = handles[*partials];
             let alpha = *alpha;
-            let mut b = TargetSpread::devices(devices.iter().copied())
+            let value = TargetSpread::devices(devices.iter().copied())
                 .with_schedule(sched.to_schedule())
-                .with_resilience(resilience);
-            if plan_key
-                && matches!(
-                    sched.to_schedule(),
-                    SpreadSchedule::Static { .. } | SpreadSchedule::StaticWeighted { .. }
-                )
-            {
-                b = b.with_plan_cache("reduce");
-            }
-            let value = b.map(spread_to(ha, |c| c.range())).parallel_for_reduce(
-                s,
-                0..p.n,
-                KernelSpec::new("partials", 1.0, move |r, v| {
-                    for i in r {
-                        v.set(1, i, alpha * v.get(0, i));
-                    }
-                })
-                .arg(KernelArg::read(ha, |r| r))
-                .arg(KernelArg::write(hp, |r| r)),
-                hp,
-                *op,
-            )?;
+                .with_resilience(resilience)
+                .map(spread_to(ha, |c| c.range()))
+                .parallel_for_reduce(
+                    s,
+                    0..p.n,
+                    KernelSpec::new("partials", 1.0, move |r, v| {
+                        for i in r {
+                            v.set(1, i, alpha * v.get(0, i));
+                        }
+                    })
+                    .arg(KernelArg::read(ha, |r| r))
+                    .arg(KernelArg::write(hp, |r| r)),
+                    hp,
+                    *op,
+                )?;
             reduces.push(value);
             Ok(())
         }
@@ -421,7 +376,6 @@ fn issue(
                     None,
                     None,
                     false,
-                    plan_key,
                     &KernelOp::AddConst { a: *a, c: cv },
                 )?;
             }
@@ -481,7 +435,6 @@ fn issue(
                     None,
                     None,
                     false,
-                    plan_key,
                     &KernelOp::AddConst { a: *a, c: cv },
                 )?;
             }
@@ -497,12 +450,9 @@ fn issue(
             // copy), and the `from` map carries the freshly exchanged
             // halo bytes into the final host state of `dst`.
             let n1 = n - 1;
-            let mut b = TargetSpread::devices(devices.iter().copied())
-                .with_schedule(SpreadSchedule::static_chunk(*chunk));
-            if plan_key {
-                b = b.with_plan_cache("halo-stencil");
-            }
-            b.map(spread_to(h, halo))
+            TargetSpread::devices(devices.iter().copied())
+                .with_schedule(SpreadSchedule::static_chunk(*chunk))
+                .map(spread_to(h, halo))
                 .map(spread_from(hd, |c| c.range()))
                 .parallel_for(
                     s,
@@ -633,32 +583,6 @@ pub fn execute_ex(
     inject: Option<Fault>,
     exchange: ExchangeMode,
 ) -> Observed {
-    execute_impl(p, tie, inject, exchange, None).observed
-}
-
-/// The cache-parity executor: lowers `p` exactly like [`execute_ex`]
-/// but attaches a `spread_plan_cache(…)` key to every static-schedule
-/// construct and forces tracing on, so two runs — `cache_on = false`
-/// (the cold planner) and `cache_on = true` (the warm cache) — can be
-/// diffed observable-for-observable, timeline included. The *only*
-/// difference between the legs is the runtime's cache flag.
-pub fn execute_cached(
-    p: &Program,
-    tie: TieBreak,
-    inject: Option<Fault>,
-    exchange: ExchangeMode,
-    cache_on: bool,
-) -> CacheRun {
-    execute_impl(p, tie, inject, exchange, Some(cache_on))
-}
-
-fn execute_impl(
-    p: &Program,
-    tie: TieBreak,
-    inject: Option<Fault>,
-    exchange: ExchangeMode,
-    parity: Option<bool>,
-) -> CacheRun {
     let drop_spill = inject == Some(Fault::SpillDropsSlice) && p.pressure.is_some();
     let force_rescue = inject == Some(Fault::RescueDoubleCommit) && p.straggler.is_some();
     let leak_overlap = inject == Some(Fault::OverlapLeak) && p.overlap.is_some();
@@ -667,7 +591,6 @@ fn execute_impl(
         .flatten();
     let blind = inject == Some(Fault::IntegrityCorrupt) && p.integrity.is_some();
     let integrity = if blind { None } else { p.integrity_mode() };
-    let trace = p.uses_auto() || parity.is_some();
     let mut rt = runtime(
         p.n_devices,
         tie,
@@ -676,8 +599,7 @@ fn execute_impl(
         p.straggler.as_ref(),
         p.integrity.as_ref(),
         peer_flip,
-        trace,
-        parity,
+        p.uses_auto(),
     );
     let handles: Vec<HostArray> = (0..p.n_arrays)
         .map(|k| rt.host_array(format!("A{k}"), p.n))
@@ -686,33 +608,24 @@ fn execute_impl(
         rt.fill_host(h, move |i| Program::initial(k, i));
     }
     let mut reduces = Vec::new();
-    // Parity mode replays the whole phase list a second time inside the
-    // same runtime: fuzz programs execute each statement once, so only
-    // a repeat pass makes the warm leg actually *replay* cached plans
-    // (the cold leg re-plans the identical launches). Both legs repeat
-    // identically, so the differential still compares like with like.
-    let passes = if parity.is_some() { 2 } else { 1 };
     let result = rt.run(|s| {
-        for _ in 0..passes {
-            for phase in &p.phases {
-                for stmt in phase {
-                    issue(
-                        s,
-                        p,
-                        &handles,
-                        &mut reduces,
-                        drop_spill,
-                        force_rescue,
-                        exchange,
-                        integrity,
-                        leak_overlap,
-                        parity.is_some(),
-                        stmt,
-                    )?;
-                }
-                // Phase barrier: everything `nowait` drains here.
-                s.drain_all()?;
+        for phase in &p.phases {
+            for stmt in phase {
+                issue(
+                    s,
+                    p,
+                    &handles,
+                    &mut reduces,
+                    drop_spill,
+                    force_rescue,
+                    exchange,
+                    integrity,
+                    leak_overlap,
+                    stmt,
+                )?;
             }
+            // Phase barrier: everything `nowait` drains here.
+            s.drain_all()?;
         }
         Ok(())
     });
@@ -726,7 +639,7 @@ fn execute_impl(
                 .collect()
         })
         .collect();
-    let observed = Observed {
+    Observed {
         arrays: handles.iter().map(|&h| rt.snapshot_host(h)).collect(),
         reduces,
         mappings,
@@ -751,15 +664,6 @@ fn execute_impl(
             })
             .collect(),
         error: result.err(),
-    };
-    CacheRun {
-        observed,
-        timeline: if trace {
-            rt.trace().snapshot()
-        } else {
-            Vec::new()
-        },
-        plan: rt.plan_stats(),
     }
 }
 

@@ -24,7 +24,6 @@
 //! | `spread_straggler_beta(β)` (extension) | [`with_straggler_beta`](SpreadClausesExt::with_straggler_beta) | `4.0` |
 //! | `spread_integrity(…)` (extension) | [`with_integrity`](SpreadClausesExt::with_integrity) | [`IntegrityMode::Off`] |
 //! | `spread_overlap(…)` (extension) | [`with_overlap`](SpreadClausesExt::with_overlap) | [`OverlapPolicy::Off`] |
-//! | `spread_plan_cache(key)` (extension) | [`with_plan_cache`](SpreadClausesExt::with_plan_cache) | off |
 //!
 //! The old per-builder inherent `spread_*` forwarders served their one
 //! deprecation release and are gone; this trait is the only clause
@@ -111,9 +110,6 @@ pub struct ClauseSet {
     pub(crate) integrity: IntegrityMode,
     /// `spread_overlap(…)`.
     pub(crate) overlap: OverlapPolicy,
-    /// `spread_plan_cache(key)` — `None` (the default) plans every
-    /// launch from scratch.
-    pub(crate) plan_key: Option<String>,
 }
 
 impl Default for ClauseSet {
@@ -126,7 +122,6 @@ impl Default for ClauseSet {
             straggler_beta: 4.0,
             integrity: IntegrityMode::Off,
             overlap: OverlapPolicy::Off,
-            plan_key: None,
         }
     }
 }
@@ -142,7 +137,6 @@ pub(crate) struct Supports {
     pub straggler: bool,
     pub integrity: bool,
     pub overlap: bool,
-    pub plan: bool,
 }
 
 impl ClauseSet {
@@ -175,9 +169,6 @@ impl ClauseSet {
         }
         if !allow.overlap && self.overlap != OverlapPolicy::Off {
             return bad("spread_overlap(…)");
-        }
-        if !allow.plan && self.plan_key.is_some() {
-            return bad("spread_plan_cache(…)");
         }
         Ok(())
     }
@@ -306,30 +297,6 @@ pub trait SpreadClausesExt: Sized {
     /// of which keep seeing whole-piece commits.
     fn with_overlap(mut self, policy: OverlapPolicy) -> Self {
         self.clause_set_mut().overlap = policy;
-        self
-    }
-
-    /// The `spread_plan_cache(key)` clause: cache this construct's
-    /// launch plan — chunking, admission planning, map/dep section
-    /// evaluation, overlap stage boundaries — under `key`, and replay
-    /// it on later launches whose directive shape fingerprint and
-    /// topology epoch still match, skipping the planner entirely.
-    ///
-    /// `key` is the construct-site identity, like an OpenMP lexical
-    /// construct: **every launch under one key must describe the same
-    /// directive shape** (same range/devices/schedule/maps/deps
-    /// modulo the values the fingerprint captures). The runtime guards
-    /// the contract anyway — a shape change fingerprints differently
-    /// and re-plans, a topology or adaptive-state change bumps the
-    /// epoch and invalidates, and debug builds re-plan every hit from
-    /// scratch and assert the cached plan identical.
-    ///
-    /// Only `target spread` supports the clause (data directives
-    /// reject it); dynamic schedules and auto-scheduled constructs
-    /// never hit (their plans depend on claim-time or per-launch
-    /// adaptive state). Default: no key, every launch cold-plans.
-    fn with_plan_cache(mut self, key: impl Into<String>) -> Self {
-        self.clause_set_mut().plan_key = Some(key.into());
         self
     }
 }

@@ -82,7 +82,6 @@ pub mod chunk;
 pub mod clauses;
 pub mod data_spread;
 pub mod integrity;
-pub(crate) mod plan;
 pub mod pressure;
 pub mod reduction;
 pub mod resilience;

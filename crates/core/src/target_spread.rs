@@ -27,7 +27,6 @@ use spread_rt::{IntegrityMode, KernelSpec, RtError, Scope, Section, TaskId};
 
 use crate::chunk::ChunkCtx;
 use crate::clauses::{ClauseSet, OverlapPolicy, SpreadClausesExt};
-use crate::plan::{ChunkSections, Fingerprint, LaunchPlan, PlanBody};
 use crate::pressure::{self, Placement, PressureCoordinator, PressurePolicy};
 use crate::resilience::{Coordinator, ResiliencePolicy};
 use crate::schedule::{distribute, SpreadSchedule};
@@ -252,146 +251,7 @@ impl TargetSpread {
         distribute(range, &self.devices, self.schedule())
     }
 
-    /// The construct's launch-plan fingerprint: a structural hash of
-    /// everything the plan depends on, computed **without** evaluating
-    /// a single map/dep closure. Covers the range, device list,
-    /// schedule (including `StaticWeighted` weight bits), every clause,
-    /// the map/dep shape (count, types, arrays), the per-device
-    /// knobs and the test canaries; the pressure path adds the live
-    /// headroom vector so a cached admission plan is only replayed when
-    /// admission would decide identically. Closure identity is the
-    /// `spread_plan_cache(key)` contract (checked outright in debug
-    /// builds and by the cache-parity suite).
-    fn plan_fingerprint(&self, range: &Range<usize>, headroom: Option<&HashMap<u32, u64>>) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.usize(range.start).usize(range.end);
-        fp.usize(self.devices.len());
-        for &d in &self.devices {
-            fp.u64(d as u64);
-        }
-        match self.schedule() {
-            SpreadSchedule::Static { chunk } => {
-                fp.u64(0).usize(*chunk);
-            }
-            SpreadSchedule::StaticWeighted { round, weights } => {
-                fp.u64(1).usize(*round).usize(weights.len());
-                for &w in weights {
-                    fp.f64(w);
-                }
-            }
-            SpreadSchedule::Dynamic { chunk } => {
-                fp.u64(2).usize(*chunk);
-            }
-            SpreadSchedule::Auto { .. } => {
-                // Resolved to StaticWeighted before dispatch; tagged for
-                // completeness.
-                fp.u64(3);
-            }
-        }
-        fp.u64(match self.clauses.resilience {
-            ResiliencePolicy::FailStop => 0,
-            ResiliencePolicy::Redistribute => 1,
-        });
-        fp.u64(match self.clauses.pressure {
-            PressurePolicy::Fail => 0,
-            PressurePolicy::Split => 1,
-            PressurePolicy::Spill => 2,
-        });
-        fp.u64(match self.clauses.straggler {
-            StragglerPolicy::Wait => 0,
-            StragglerPolicy::Steal => 1,
-            StragglerPolicy::Replicate => 2,
-        });
-        fp.f64(self.clauses.straggler_beta);
-        fp.u64(match self.clauses.integrity {
-            IntegrityMode::Off => 0,
-            IntegrityMode::Verify => 1,
-            IntegrityMode::Heal => 2,
-        });
-        fp.u64(match self.clauses.overlap {
-            OverlapPolicy::Off => 0,
-            OverlapPolicy::Depth(d) => 1 + d as u64,
-            OverlapPolicy::Auto => u64::MAX,
-        });
-        fp.bool(self.nowait).bool(self.serial);
-        fp.u64(self.num_teams.map_or(u64::MAX, u64::from));
-        fp.u64(self.num_threads.map_or(u64::MAX, u64::from));
-        fp.bool(self.drop_last_spill_slice)
-            .bool(self.force_rescue_double_commit)
-            .bool(self.force_overlap_leak);
-        fp.usize(self.maps.len());
-        for m in &self.maps {
-            fp.u64(match m.map_type {
-                spread_rt::MapType::To => 0,
-                spread_rt::MapType::From => 1,
-                spread_rt::MapType::ToFrom => 2,
-                spread_rt::MapType::Alloc => 3,
-                spread_rt::MapType::Release => 4,
-                spread_rt::MapType::Delete => 5,
-            });
-            fp.u64(m.array.id().0 as u64);
-        }
-        fp.usize(self.dep_ins.len());
-        for d in &self.dep_ins {
-            fp.u64(d.array.id().0 as u64);
-        }
-        fp.usize(self.dep_outs.len());
-        for d in &self.dep_outs {
-            fp.u64(d.array.id().0 as u64);
-        }
-        match headroom {
-            None => {
-                fp.bool(false);
-            }
-            Some(h) => {
-                fp.bool(true);
-                for &d in &self.devices {
-                    fp.u64(h.get(&d).copied().unwrap_or(0));
-                }
-            }
-        }
-        fp.finish()
-    }
-
-    /// Look up a cached [`LaunchPlan`] for this construct, when it
-    /// carries a plan key. Returns the plan together with the
-    /// fingerprint to store a cold plan under.
-    fn plan_lookup(
-        &self,
-        scope: &Scope<'_>,
-        range: &Range<usize>,
-        headroom: Option<&HashMap<u32, u64>>,
-        started: std::time::Instant,
-    ) -> (Option<u64>, Option<Rc<LaunchPlan>>) {
-        let Some(key) = &self.clauses.plan_key else {
-            return (None, None);
-        };
-        let fp = self.plan_fingerprint(range, headroom);
-        let cached = scope
-            .plan_cache_lookup(key, fp, started)
-            .and_then(|p| p.downcast::<LaunchPlan>().ok());
-        (Some(fp), cached)
-    }
-
-    /// Evaluate every `map`/`depend` section expression for one chunk —
-    /// the per-chunk planning work the launch-plan cache elides on a
-    /// warm launch.
-    pub(crate) fn chunk_sections(&self, c: ChunkCtx) -> ChunkSections {
-        ChunkSections {
-            maps: self.maps.iter().map(|m| m.at(c)).collect(),
-            dep_ins: self.dep_ins.iter().map(|d| d.at(c)).collect(),
-            dep_outs: self.dep_outs.iter().map(|d| d.at(c)).collect(),
-        }
-    }
-
     pub(crate) fn build_target(&self, device: u32, c: ChunkCtx) -> Target {
-        self.build_target_from(device, &self.chunk_sections(c))
-    }
-
-    /// [`Self::build_target`] over pre-evaluated sections: the warm
-    /// launch path, which replays cached [`ChunkSections`] without
-    /// calling a single map/dep closure.
-    pub(crate) fn build_target_from(&self, device: u32, secs: &ChunkSections) -> Target {
         let mut t = Target::device(device)
             .nowait()
             .integrity(self.clauses.integrity);
@@ -413,14 +273,14 @@ impl TargetSpread {
                 t = t.num_threads(n);
             }
         }
-        for m in &secs.maps {
-            t = t.map(m.clone());
+        for m in &self.maps {
+            t = t.map(m.at(c));
         }
-        for &d in &secs.dep_ins {
-            t = t.depend_in(d);
+        for d in &self.dep_ins {
+            t = t.depend_in(d.at(c));
         }
-        for &d in &secs.dep_outs {
-            t = t.depend_out(d);
+        for d in &self.dep_outs {
+            t = t.depend_out(d.at(c));
         }
         t
     }
@@ -530,16 +390,6 @@ impl TargetSpread {
             // the claim chains already absorb loss-shaped imbalance.
             return Err(RtError::InvalidDirective(
                 "target spread: spread_resilience(redistribute) requires a static schedule".into(),
-            ));
-        }
-        if self.clauses.plan_key.is_some()
-            && matches!(self.schedule(), SpreadSchedule::Dynamic { .. })
-        {
-            // Dynamic placement happens at claim time — there is no
-            // launch-time plan to cache. Rejected rather than silently
-            // ignored, like every other clause misuse.
-            return Err(RtError::InvalidDirective(
-                "target spread: spread_plan_cache(…) requires a static schedule".into(),
             ));
         }
         match self.clauses.overlap {
@@ -695,93 +545,19 @@ impl TargetSpread {
         kernel: KernelSpec,
     ) -> Result<Vec<TaskId>, RtError> {
         let policy = self.clauses.pressure;
-        // ── Planning phase (elided on a warm cache hit) ─────────────
-        // The live headroom joins the fingerprint: a cached admission
-        // plan is only replayed when admission would decide the exact
-        // same ladder, so degradation events replay identically too.
+        let chunks = distribute(range, &self.devices, self.schedule());
         let headroom: HashMap<u32, u64> = self
             .devices
             .iter()
             .map(|&d| (d, scope.device_headroom(d)))
             .collect();
-        let t_plan = std::time::Instant::now();
-        let (fp, cached) = self.plan_lookup(scope, &range, Some(&headroom), t_plan);
-        // As in `launch_static`: the plan stays behind its `Rc`; the
-        // warm path replays the recorded degradation events but never
-        // deep-copies the admission ladder or the sections.
-        let plan: Rc<LaunchPlan> = match cached {
-            Some(plan) => {
-                let PlanBody::Pressure { pieces, events, .. } = &plan.body else {
-                    return Err(RtError::InvalidDirective(
-                        "target spread: spread_plan_cache(…) key is shared between a \
-                         pressure-managed and a plain static construct"
-                            .into(),
-                    ));
-                };
-                #[cfg(debug_assertions)]
-                {
-                    let chunks = distribute(range.clone(), &self.devices, self.schedule());
-                    let footprint = |start: usize, len: usize| self.footprint_bytes(start, len);
-                    let fresh = pressure::plan_admission(
-                        &chunks,
-                        &self.devices,
-                        &headroom,
-                        &footprint,
-                        policy,
-                    )
-                    .expect("plan cache replayed a plan admission would now reject");
-                    assert_eq!(&fresh, pieces, "plan cache replayed a stale admission plan");
-                }
-                #[cfg(not(debug_assertions))]
-                let _ = pieces;
-                for ev in events.clone() {
-                    scope.record_degradation(ev);
-                }
-                plan
-            }
-            None => {
-                let chunks = distribute(range, &self.devices, self.schedule());
-                let pieces = {
-                    let footprint = |start: usize, len: usize| self.footprint_bytes(start, len);
-                    pressure::plan_admission(&chunks, &self.devices, &headroom, &footprint, policy)?
-                };
-                let events = pressure::degradation_events(&pieces);
-                for ev in events.clone() {
-                    scope.record_degradation(ev);
-                }
-                let sections: Vec<Option<ChunkSections>> = pieces
-                    .iter()
-                    .map(|p| match p.placement {
-                        Placement::Device(_) => {
-                            Some(self.chunk_sections(ChunkCtx::new(p.start, p.len)))
-                        }
-                        Placement::Host => None,
-                    })
-                    .collect();
-                let plan = Rc::new(LaunchPlan {
-                    body: PlanBody::Pressure {
-                        pieces,
-                        events,
-                        sections,
-                    },
-                });
-                if let (Some(fp), Some(key)) = (fp, &self.clauses.plan_key) {
-                    scope.plan_cache_store(
-                        key,
-                        fp,
-                        Rc::clone(&plan) as Rc<dyn std::any::Any>,
-                        t_plan,
-                    );
-                }
-                plan
-            }
+        let pieces = {
+            let footprint = |start: usize, len: usize| self.footprint_bytes(start, len);
+            pressure::plan_admission(&chunks, &self.devices, &headroom, &footprint, policy)?
         };
-        let PlanBody::Pressure {
-            pieces, sections, ..
-        } = &plan.body
-        else {
-            unreachable!("shape checked above")
-        };
+        for ev in pressure::degradation_events(&pieces) {
+            scope.record_degradation(ev);
+        }
         let drop_last = self.drop_last_spill_slice;
         // Straggler watch composes with pressure management over the
         // *device* pieces of the admission plan (host spills have no
@@ -810,12 +586,12 @@ impl TargetSpread {
             .then(|| crate::straggler::Monitor::new(Rc::clone(&this), kernel.clone(), scope.now()));
         let mut tail: HashMap<u32, TaskId> = HashMap::new();
         let mut ids = Vec::with_capacity(pieces.len());
-        for (piece, secs) in pieces.iter().zip(sections) {
+        for piece in &pieces {
             match piece.placement {
                 Placement::Device(d) => {
-                    let secs = secs.as_ref().expect("device pieces carry sections");
+                    let c = ChunkCtx::new(piece.start, piece.len);
                     let mut t = this
-                        .build_target_from(d, secs)
+                        .build_target(d, c)
                         .pressure_managed()
                         .after(tail.get(&d).copied());
                     let gate = if monitor.is_some() {
@@ -871,63 +647,7 @@ impl TargetSpread {
     ) -> Result<Vec<TaskId>, RtError> {
         let nowait = self.nowait;
         let resilient = self.clauses.resilience == ResiliencePolicy::Redistribute;
-        // ── Planning phase (elided on a warm cache hit) ─────────────
-        let t_plan = std::time::Instant::now();
-        let (fp, cached) = self.plan_lookup(scope, &range, None, t_plan);
-        // The plan stays behind its `Rc` end to end — the warm path
-        // must never deep-copy what it cached (that copy would eat the
-        // very overhead the cache exists to remove).
-        let plan: Rc<LaunchPlan> = match cached {
-            Some(plan) => {
-                let PlanBody::Static { chunks, sections } = &plan.body else {
-                    return Err(RtError::InvalidDirective(
-                        "target spread: spread_plan_cache(…) key is shared between a \
-                         pressure-managed and a plain static construct"
-                            .into(),
-                    ));
-                };
-                #[cfg(debug_assertions)]
-                {
-                    // Debug builds pay the cold cost anyway to *prove*
-                    // the replay: same chunks, same evaluated sections.
-                    let fresh = distribute(range.clone(), &self.devices, self.schedule());
-                    assert_eq!(&fresh, chunks, "plan cache replayed stale chunks");
-                    for (i, ch) in fresh.iter().enumerate() {
-                        let secs = self.chunk_sections(ChunkCtx::new(ch.start, ch.len));
-                        assert_eq!(
-                            secs, sections[i],
-                            "plan cache replayed stale sections — is the plan key \
-                             shared between two different constructs?"
-                        );
-                    }
-                }
-                #[cfg(not(debug_assertions))]
-                let _ = (chunks, sections);
-                plan
-            }
-            None => {
-                let chunks = distribute(range, &self.devices, self.schedule());
-                let sections: Vec<ChunkSections> = chunks
-                    .iter()
-                    .map(|ch| self.chunk_sections(ChunkCtx::new(ch.start, ch.len)))
-                    .collect();
-                let plan = Rc::new(LaunchPlan {
-                    body: PlanBody::Static { chunks, sections },
-                });
-                if let (Some(fp), Some(key)) = (fp, &self.clauses.plan_key) {
-                    scope.plan_cache_store(
-                        key,
-                        fp,
-                        Rc::clone(&plan) as Rc<dyn std::any::Any>,
-                        t_plan,
-                    );
-                }
-                plan
-            }
-        };
-        let PlanBody::Static { chunks, sections } = &plan.body else {
-            unreachable!("shape checked above")
-        };
+        let chunks = distribute(range, &self.devices, self.schedule());
         // Straggler rescue needs somewhere to rescue *to*: at least two
         // chunks spread over at least two distinct devices. Smaller
         // launches silently degrade to `wait`.
@@ -952,9 +672,10 @@ impl TargetSpread {
         let monitor = straggle
             .then(|| crate::straggler::Monitor::new(Rc::clone(&this), kernel.clone(), scope.now()));
         let mut ids = Vec::with_capacity(chunks.len());
-        for (chunk, secs) in chunks.iter().zip(sections) {
+        for chunk in &chunks {
+            let c = ChunkCtx::new(chunk.start, chunk.len);
             let device = chunk.device.expect("static chunks are assigned");
-            let mut t = this.build_target_from(device, secs);
+            let mut t = this.build_target(device, c);
             let gate = if monitor.is_some() {
                 let g = spread_rt::CommitGate::new();
                 t = t.commit_gate(g.clone(), 0);

@@ -54,7 +54,6 @@ pub mod kernel;
 pub mod map;
 pub mod mapping;
 pub mod overlap;
-pub mod plan_cache;
 pub(crate) mod profile;
 pub mod runtime;
 pub mod section;
@@ -69,7 +68,6 @@ pub use integrity::{IntegrityAction, IntegrityBoundary, IntegrityEvent, Integrit
 pub use kernel::{Access, KernelArg, KernelSpec};
 pub use map::{MapClause, MapType};
 pub use overlap::OverlapRecord;
-pub use plan_cache::PlanCacheStats;
 pub use runtime::{
     DegradationEvent, DegradationKind, PeerCopyRecord, RescueRecord, Runtime, RuntimeConfig, Scope,
 };

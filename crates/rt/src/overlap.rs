@@ -565,7 +565,7 @@ pub(crate) fn pipelined_kernel(
         inner.check_device(device)?;
         let d = device as usize;
         let mut resolved = Vec::with_capacity(spec.args.len());
-        let table = inner.presence.read(d);
+        let table = &inner.presence[d];
         for arg in &spec.args {
             let rng = (arg.section_of)(range.clone());
             let sec = Section::from_range(arg.array.id(), rng);
@@ -594,7 +594,7 @@ pub(crate) fn pipelined_kernel(
     {
         let inner = inner_rc.borrow();
         let d = device as usize;
-        let table = inner.presence.read(d);
+        let table = &inner.presence[d];
         let mut d2h = pipe.d2h_stages.borrow_mut();
         for m in exit_maps {
             if !m.map_type.copies_out() || m.section.is_empty() {

@@ -37,7 +37,7 @@ use crate::host::{HostArray, HostRegistry};
 use crate::integrity::{IntegrityAction, IntegrityBoundary, IntegrityEvent, IntegrityMode};
 use crate::kernel::{self, KernelSpec, ResolvedArg};
 use crate::map::{MapClause, MapType};
-use crate::mapping::{EnterDecision, EntryKey, ExitDecision, MapConflict, ShardedPresence};
+use crate::mapping::{EnterDecision, EntryKey, ExitDecision, MapConflict, PresenceTable};
 use crate::section::Section;
 use crate::task::{GroupId, RaceReport, TaskGraph, TaskId, TaskSpec};
 
@@ -87,12 +87,6 @@ pub struct RuntimeConfig {
     /// slowly but smooth noisy observations; `1.0` jumps straight to the
     /// measured ideal split each launch.
     pub adaptive_damping: f64,
-    /// Serve launch plans from the plan cache (see
-    /// [`plan_cache`](crate::plan_cache)). On by default — inert unless
-    /// a construct opts in with a plan key. Disable to force every
-    /// launch through the full planner (the cache-parity suite's cold
-    /// leg).
-    pub plan_cache: bool,
 }
 
 impl RuntimeConfig {
@@ -112,7 +106,6 @@ impl RuntimeConfig {
             watchdog: None,
             spill_staging_bytes: 1 << 20,
             adaptive_damping: 0.5,
-            plan_cache: true,
         }
     }
 
@@ -174,12 +167,6 @@ impl RuntimeConfig {
     /// `(0, 1]`).
     pub fn with_adaptive_damping(mut self, alpha: f64) -> Self {
         self.adaptive_damping = alpha.clamp(f64::MIN_POSITIVE, 1.0);
-        self
-    }
-
-    /// Enable/disable the launch-plan cache.
-    pub fn with_plan_cache(mut self, on: bool) -> Self {
-        self.plan_cache = on;
         self
     }
 }
@@ -269,7 +256,7 @@ pub(crate) struct Recoverer {
 pub(crate) struct Inner {
     pub(crate) host: HostRegistry,
     pub(crate) devices: Vec<DeviceHandle>,
-    pub(crate) presence: ShardedPresence,
+    pub(crate) presence: Vec<PresenceTable>,
     pub(crate) graph: TaskGraph,
     pub(crate) actions: std::collections::HashMap<TaskId, Action>,
     pub(crate) current_parent: Option<TaskId>,
@@ -324,9 +311,6 @@ pub(crate) struct Inner {
     /// Every pipelined (`spread_overlap`) construct completed so far, in
     /// completion order (see [`Runtime::overlap_records`]).
     pub(crate) overlap_log: Vec<crate::overlap::OverlapRecord>,
-    /// Launch plans of keyed constructs, invalidated wholesale by the
-    /// topology epoch (see [`plan_cache`](crate::plan_cache)).
-    pub(crate) plan_cache: crate::plan_cache::PlanCache,
 }
 
 /// One straggler rescue: a lagging piece speculatively re-executed on a
@@ -457,8 +441,7 @@ impl Inner {
             if m.section.is_empty() {
                 continue;
             }
-            let enter = self.presence.write(d).begin_enter(m.section);
-            let decision = match enter {
+            let decision = match self.presence[d].begin_enter(m.section) {
                 Ok(dec) => dec,
                 Err(c) => {
                     let err = self.conflict_to_error(device, m.section, c);
@@ -483,7 +466,7 @@ impl Inner {
                             return Err(err);
                         }
                     };
-                    let key = self.presence.write(d).insert_fresh(m.section, alloc);
+                    let key = self.presence[d].insert_fresh(m.section, alloc);
                     fresh.push(key);
                     if m.map_type.copies_in() {
                         copies.push(CopyPlanItem {
@@ -507,15 +490,11 @@ impl Inner {
         fresh: Vec<crate::mapping::EntryKey>,
     ) {
         for s in reused {
-            // Drop the extra reference we took. The scrutinee is hoisted
-            // into a `let` so the shard's write guard is released before
-            // the `LastRef` arm relocks it (a guard in a `match` head
-            // lives for the whole match).
-            let undone = self.presence.write(d).begin_exit(&s, false);
-            match undone {
+            // Drop the extra reference we took.
+            match self.presence[d].begin_exit(&s, false) {
                 Ok(ExitDecision::Keep(_)) => {}
                 Ok(ExitDecision::LastRef(key)) => {
-                    if let Some(alloc) = self.presence.write(d).finish_exit(key) {
+                    if let Some(alloc) = self.presence[d].finish_exit(key) {
                         self.devices[d].mem.borrow_mut().dealloc(alloc);
                     }
                 }
@@ -523,16 +502,13 @@ impl Inner {
             }
         }
         for key in fresh {
-            let sec = self
-                .presence
-                .read(d)
+            let sec = self.presence[d]
                 .entry(key)
                 .expect("fresh entry still present")
                 .section;
-            let undone = self.presence.write(d).begin_exit(&sec, true);
-            match undone {
+            match self.presence[d].begin_exit(&sec, true) {
                 Ok(ExitDecision::LastRef(k)) => {
-                    if let Some(a) = self.presence.write(d).finish_exit(k) {
+                    if let Some(a) = self.presence[d].finish_exit(k) {
                         self.devices[d].mem.borrow_mut().dealloc(a);
                     }
                 }
@@ -561,17 +537,14 @@ impl Inner {
                 continue;
             }
             let d = device as usize;
-            let decision = self
-                .presence
-                .write(d)
+            let decision = self.presence[d]
                 .begin_exit(&m.section, m.map_type == MapType::Delete)
                 .map_err(|c| self.conflict_to_error(device, m.section, c))?;
             match decision {
                 ExitDecision::Keep(_) => {}
                 ExitDecision::LastRef(key) => {
                     if m.map_type.copies_out() {
-                        let table = self.presence.read(d);
-                        let entry = table.entry(key).expect("dying entry");
+                        let entry = self.presence[d].entry(key).expect("dying entry");
                         copies.push(CopyPlanItem {
                             section: m.section,
                             alloc: entry.alloc,
@@ -601,8 +574,7 @@ impl Inner {
                 if s.is_empty() {
                     continue;
                 }
-                let table = self.presence.read(d);
-                let Some((_, entry)) = table.lookup_containing(&s) else {
+                let Some((_, entry)) = self.presence[d].lookup_containing(&s) else {
                     return Err(RtError::NotMapped {
                         device,
                         requested: s,
@@ -630,12 +602,11 @@ impl Inner {
     pub(crate) fn peer_source_for(&self, device: u32, sec: &Section) -> Option<u32> {
         let host = self.host.storage(sec.array);
         let host = host.borrow();
-        for sd in 0..self.presence.num_shards() {
+        for (sd, table) in self.presence.iter().enumerate() {
             let src = sd as u32;
             if src == device || self.fault.as_ref().is_some_and(|ctx| ctx.is_lost(src)) {
                 continue;
             }
-            let table = self.presence.read(sd);
             let Some((_, entry)) = table.lookup_containing(sec) else {
                 continue;
             };
@@ -902,11 +873,7 @@ pub(crate) fn device_lost_cleanup(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inn
     let stranded = {
         let mut inner = inner_rc.borrow_mut();
         let d = device as usize;
-        inner.presence.write(d).clear();
-        // The topology changed: any cached launch plan placing work on
-        // this device is now wrong. Covers integrity-breaker quarantine
-        // too — quarantine routes through `mark_lost` into this hook.
-        inner.plan_cache.bump_epoch();
+        inner.presence[d].clear();
         let capacity = inner.devices[d].mem.borrow().pool().capacity();
         *inner.devices[d].mem.borrow_mut() = DeviceMemory::new(capacity);
         let mut stranded = Vec::new();
@@ -1187,10 +1154,10 @@ pub(crate) fn staged_commit_finish(
             // so the recoverer's fresh enter→kernel→exit starts
             // from a clean table.
             let freed = {
-                let inner = inner_rc.borrow();
+                let mut inner = inner_rc.borrow_mut();
                 let d = device as usize;
                 for key in to_free {
-                    if let Some(alloc) = inner.presence.write(d).finish_exit(*key) {
+                    if let Some(alloc) = inner.presence[d].finish_exit(*key) {
                         inner.devices[d].mem.borrow_mut().dealloc(alloc);
                     }
                 }
@@ -1249,10 +1216,10 @@ pub(crate) fn staged_commit_finish(
         }
     }
     let freed = {
-        let inner = inner_rc.borrow();
+        let mut inner = inner_rc.borrow_mut();
         let d = device as usize;
         for key in to_free {
-            if let Some(alloc) = inner.presence.write(d).finish_exit(*key) {
+            if let Some(alloc) = inner.presence[d].finish_exit(*key) {
                 inner.devices[d].mem.borrow_mut().dealloc(alloc);
             }
         }
@@ -1499,9 +1466,7 @@ fn enqueue_peer_copy(
                 if inner.fault.as_ref().is_some_and(|ctx| ctx.is_lost(src)) {
                     None
                 } else {
-                    inner
-                        .presence
-                        .read(src as usize)
+                    inner.presence[src as usize]
                         .lookup_containing(&sec)
                         .and_then(|(_, entry)| {
                             let off_s = sec.start - entry.section.start;
@@ -1694,11 +1659,10 @@ pub(crate) fn run_kernel(
         inner.check_device(device)?;
         let d = device as usize;
         let mut resolved = Vec::with_capacity(spec.args.len());
-        let table = inner.presence.read(d);
         for arg in &spec.args {
             let rng = (arg.section_of)(range.clone());
             let sec = Section::from_range(arg.array.id(), rng);
-            let Some((_, entry)) = table.lookup_containing(&sec) else {
+            let Some((_, entry)) = inner.presence[d].lookup_containing(&sec) else {
                 return Err(RtError::KernelSectionMissing {
                     device,
                     kernel: spec.name.clone(),
@@ -1713,7 +1677,6 @@ pub(crate) fn run_kernel(
                 section_of: std::sync::Arc::clone(&arg.section_of),
             });
         }
-        drop(table);
         (inner.devices[d].clone(), Rc::clone(&inner.pool), resolved)
     };
     let mem = dev.mem.clone();
@@ -1803,7 +1766,7 @@ impl Runtime {
         let inner = Inner {
             host: HostRegistry::new(),
             devices: node.devices().to_vec(),
-            presence: ShardedPresence::new(n),
+            presence: (0..n).map(|_| PresenceTable::new()).collect(),
             graph: TaskGraph::new(),
             actions: std::collections::HashMap::new(),
             current_parent: None,
@@ -1829,7 +1792,6 @@ impl Runtime {
             integrity_log: Vec::new(),
             staged_registry: Vec::new(),
             overlap_log: Vec::new(),
-            plan_cache: crate::plan_cache::PlanCache::new(cfg.plan_cache),
         };
         // A fresh runtime starts its peak-memory statistics from zero:
         // `device_mem_peak` must describe *this* instance, even if the
@@ -2088,10 +2050,7 @@ impl Runtime {
     /// The sections currently mapped on a device (diagnostics): section,
     /// reference count, dying flag.
     pub fn mapped_sections(&self, device: u32) -> Vec<(Section, u32, bool)> {
-        self.inner
-            .borrow()
-            .presence
-            .read(device as usize)
+        self.inner.borrow().presence[device as usize]
             .iter()
             .map(|(_, e)| (e.section, e.refcount, e.dying))
             .collect()
@@ -2104,11 +2063,11 @@ impl Runtime {
     /// oracle's presence model after every program.
     pub fn mapping_snapshot(&self) -> Vec<Vec<(Section, u32)>> {
         let inner = self.inner.borrow();
-        (0..inner.presence.num_shards())
-            .map(|d| {
-                let mut v: Vec<(Section, u32)> = inner
-                    .presence
-                    .read(d)
+        inner
+            .presence
+            .iter()
+            .map(|table| {
+                let mut v: Vec<(Section, u32)> = table
                     .iter()
                     .filter(|(_, e)| !e.dying)
                     .map(|(_, e)| (e.section, e.refcount))
@@ -2163,19 +2122,6 @@ impl Runtime {
             .as_ref()
             .map(|c| c.lost_devices())
             .unwrap_or_default()
-    }
-
-    /// Launch-plan cache statistics: hits, misses, invalidations and
-    /// the planning-time accounting the hot-path benchmark reports.
-    pub fn plan_stats(&self) -> crate::plan_cache::PlanCacheStats {
-        self.inner.borrow().plan_cache.stats()
-    }
-
-    /// The current topology epoch — bumped by device loss (including
-    /// quarantine) and by every adaptive-state update, invalidating all
-    /// cached launch plans.
-    pub fn topology_epoch(&self) -> u64 {
-        self.inner.borrow().plan_cache.epoch()
     }
 }
 
@@ -2266,7 +2212,9 @@ impl Scope<'_> {
                     // Quiescence reached: validate every device's live
                     // mapping state against its `spread-semantics`
                     // mirror (no-op in release builds).
-                    inner.presence.debug_validate_all();
+                    for table in &inner.presence {
+                        table.debug_validate();
+                    }
                     return Ok(());
                 }
                 let finished = inner.graph.finished_total();
@@ -2533,10 +2481,10 @@ impl Scope<'_> {
     /// `depth` from `t0` to now.
     pub fn record_overlap_depth(&mut self, key: &str, depth: u32, t0: SimTime) {
         let dur = (self.sim.now() - t0).as_nanos() as f64;
-        let mut inner = self.inner.borrow_mut();
-        inner.profiles.record_depth(key, depth, dur);
-        // Adaptive state moved: cached plans may embed the old depth.
-        inner.plan_cache.bump_epoch();
+        self.inner
+            .borrow_mut()
+            .profiles
+            .record_depth(key, depth, dur);
     }
 
     /// Aggregate the trace window `[t0, now)` into a
@@ -2567,50 +2515,6 @@ impl Scope<'_> {
             weights: weights.to_vec(),
             round,
         });
-        // The weight update may change the next launch's split: cached
-        // plans for auto-scheduled constructs must never be served.
-        inner.plan_cache.bump_epoch();
-    }
-
-    /// Look up a cached launch plan for the construct keyed `key`.
-    /// Serves only a plan stored under the same fingerprint in the
-    /// current topology epoch; returns `None` (and counts a miss) when
-    /// the cache is disabled, empty, stale, or shape-mismatched.
-    ///
-    /// `started` is the caller's planning-phase start (taken before the
-    /// fingerprint was computed); a hit closes the warm planning window
-    /// inside the cache's own borrow.
-    pub fn plan_cache_lookup(
-        &self,
-        key: &str,
-        fingerprint: u64,
-        started: std::time::Instant,
-    ) -> Option<Rc<dyn std::any::Any>> {
-        self.inner
-            .borrow_mut()
-            .plan_cache
-            .lookup(key, fingerprint, started)
-    }
-
-    /// Store a freshly computed launch plan under `key` for the current
-    /// topology epoch, closing the cold planning window opened at
-    /// `started`. No-op when the cache is disabled.
-    pub fn plan_cache_store(
-        &self,
-        key: &str,
-        fingerprint: u64,
-        plan: Rc<dyn std::any::Any>,
-        started: std::time::Instant,
-    ) {
-        self.inner
-            .borrow_mut()
-            .plan_cache
-            .store(key, fingerprint, plan, started);
-    }
-
-    /// The current topology epoch (see [`plan_cache`](crate::plan_cache)).
-    pub fn topology_epoch(&self) -> u64 {
-        self.inner.borrow().plan_cache.epoch()
     }
 
     /// Register `handler` as the recovery handler of every task in

@@ -1,6 +1,6 @@
-//! Property tests for the sharded presence tables: random
+//! Property tests for the per-device presence table: random
 //! enter/exit/finish/clear sequences driven in lockstep against a naive
-//! reference model of the pre-shard table's observable behaviour. In
+//! reference model of the table's observable behaviour. In
 //! debug builds every [`PresenceTable`] mutation is *also* cross-checked
 //! against its `spread-semantics` spec mirror internally, so each
 //! random step is validated twice — once against the reference model
@@ -8,12 +8,10 @@
 
 use spread_devices::MemoryPool;
 use spread_prng::Prng;
-use spread_rt::mapping::{
-    EnterDecision, EntryKey, ExitDecision, MapConflict, PresenceTable, ShardedPresence,
-};
+use spread_rt::mapping::{EnterDecision, EntryKey, ExitDecision, MapConflict, PresenceTable};
 use spread_rt::{ArrayId, Section};
 
-/// The pre-shard table's observable state, re-implemented as naively as
+/// The table's observable state, re-implemented as naively as
 /// possible: a flat vector and linear scans.
 #[derive(Default, Clone)]
 struct RefModel {
@@ -253,46 +251,5 @@ fn random_sequences_match_the_reference_model() {
             finish_one(&mut t, &mut m, p);
         }
         t.debug_validate();
-    }
-}
-
-/// The same random traffic routed through [`ShardedPresence`]: each op
-/// picks a device, and only that device's reference model may change —
-/// proving shard isolation op by op.
-#[test]
-fn sharded_traffic_stays_isolated_per_device() {
-    const DEVICES: usize = 4;
-    for seed in 0..60u64 {
-        let mut rng = Prng::new(0xfeed ^ seed);
-        let sharded = ShardedPresence::new(DEVICES);
-        let mut models: Vec<RefModel> = vec![RefModel::default(); DEVICES];
-        let mut pools: Vec<MemoryPool> = (0..DEVICES).map(|_| MemoryPool::new(1 << 24)).collect();
-        let mut pendings: Vec<Vec<Pending>> = (0..DEVICES).map(|_| Vec::new()).collect();
-        for _ in 0..250 {
-            let d = rng.range(0, DEVICES);
-            let before: Vec<_> = (0..DEVICES)
-                .filter(|&o| o != d)
-                .map(|o| table_snapshot(&sharded.read(o)))
-                .collect();
-            step(
-                &mut rng,
-                &mut sharded.write(d),
-                &mut models[d],
-                &mut pools[d],
-                &mut pendings[d],
-            );
-            let after: Vec<_> = (0..DEVICES)
-                .filter(|&o| o != d)
-                .map(|o| table_snapshot(&sharded.read(o)))
-                .collect();
-            assert_eq!(
-                before, after,
-                "an op on device {d}'s shard mutated another device's table"
-            );
-        }
-        for (d, model) in models.iter().enumerate() {
-            assert_eq!(table_snapshot(&sharded.read(d)), model.snapshot());
-        }
-        sharded.debug_validate_all();
     }
 }

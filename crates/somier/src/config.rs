@@ -125,8 +125,7 @@ pub struct SomierConfig {
     /// keeps Listing 10's one-chunk-per-device split
     /// (`chunk = buffer / num_devices`); `Some(p)` carves each buffer
     /// into `p`-plane chunks round-robined over the devices instead —
-    /// the finer granularity the pipelined implementations run at, and
-    /// the regime the hot-path benchmark measures planning cost in.
+    /// the finer granularity the pipelined implementations run at.
     /// Physics are unaffected (chunking only changes the decomposition;
     /// halos make every chunk self-contained).
     pub chunk_planes_override: Option<usize>,
@@ -221,6 +220,17 @@ impl SomierConfig {
     /// Carve buffers into `planes`-plane chunks round-robined over the
     /// devices instead of Listing 10's one chunk per device. See
     /// [`SomierConfig::chunk_planes_override`].
+    ///
+    /// # Known defect
+    ///
+    /// This is the reproducer of an open `RtError::Deadlock` defect:
+    /// `SomierConfig::paper().with_chunk_planes(p)` run through
+    /// [`run_spread`](crate::one_buffer::run_spread) on 4 GPUs returns
+    /// `Deadlock { waiting_for: "task completion" }` after about 0.3 s
+    /// of host time, for every `p` in {1, 2, 3, 4, 8} — that is, any
+    /// chunk finer than the default 11 planes of the 44-plane buffer
+    /// (`p = 11` completes). The runtime should have finished the run
+    /// or reported an out-of-memory error.
     pub fn with_chunk_planes(mut self, planes: usize) -> Self {
         self.chunk_planes_override = Some(planes.max(1));
         self

@@ -173,19 +173,14 @@ fn launch_kernels(
     let n2 = cfg.plane_elems();
     let x_halo = move |c: ChunkCtx| c.start().saturating_sub(1) * n2..(c.end() + 1).min(n) * n2;
     let body = move |c: ChunkCtx| c.scaled(n2).range();
-    // One plan-cache key per (kernel, buffer): every timestep re-launches
-    // the same five constructs over the same plane ranges, so from the
-    // second step on, admission planning, chunking and section
-    // evaluation replay from the cache.
-    let spread = |kernel: &str| {
+    let spread = || {
         TargetSpread::devices(devices.to_vec())
             .with_schedule(SpreadSchedule::static_chunk(chunk))
-            .with_plan_cache(format!("somier:{kernel}:{b0}"))
             .nowait()
     };
     // forces: in X (halo), out F.
     {
-        let mut t = spread("forces");
+        let mut t = spread();
         for c in 0..3 {
             t = t
                 .map(spread_to(arr.x[c], x_halo))
@@ -198,7 +193,7 @@ fn launch_kernels(
     }
     // accelerations: in F, out A.
     {
-        let mut t = spread("accel");
+        let mut t = spread();
         for c in 0..3 {
             t = t.map(spread_to(arr.f[c], body)).depend_in(arr.f[c], body);
         }
@@ -209,7 +204,7 @@ fn launch_kernels(
     }
     // velocities: in A, inout V.
     {
-        let mut t = spread("vel");
+        let mut t = spread();
         for c in 0..3 {
             t = t.map(spread_to(arr.a[c], body)).depend_in(arr.a[c], body);
         }
@@ -223,7 +218,7 @@ fn launch_kernels(
     }
     // positions: in V, inout X.
     {
-        let mut t = spread("pos");
+        let mut t = spread();
         for c in 0..3 {
             t = t.map(spread_to(arr.v[c], body)).depend_in(arr.v[c], body);
         }
@@ -237,7 +232,7 @@ fn launch_kernels(
     }
     // centers: in X, out partials (the manual reduction).
     {
-        let mut t = spread("centers");
+        let mut t = spread();
         for c in 0..3 {
             t = t.map(spread_to(arr.x[c], body)).depend_in(arr.x[c], body);
         }

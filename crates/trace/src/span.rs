@@ -5,9 +5,8 @@
 //! a [`Lane`]. Lanes mirror the rows of an `nsys` timeline — one row per
 //! device engine plus a host row.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use crate::time::SimTime;
 
@@ -226,57 +225,21 @@ impl Span {
     }
 }
 
-/// Thread-safe collector of spans over append-only per-thread buffers.
+/// Collector of spans: one shared, append-only span vector.
 ///
-/// Cheap to clone (it is an `Arc` underneath); the simulator and every
-/// subsystem hold clones and push completed spans. Recording can be
-/// disabled wholesale so benchmark runs that do not need traces pay only
-/// an atomic load.
-///
-/// ## Hot-path layout
-///
-/// The recorder keeps one **append-only buffer per recording thread**
-/// instead of a single shared `Mutex<Vec<Span>>`: the span hot path
-/// takes one atomic load (`enabled`), one `fetch_add` for the dense
-/// [`SpanId`], a thread-local buffer lookup, and an *uncontended* lock
-/// on the calling thread's own buffer — no cross-thread contention, no
-/// reallocation of a global vector under a shared lock. Buffers are
-/// merged (and sorted by `(start, id)`) only at query time, so
-/// [`snapshot`](TraceRecorder::snapshot) timelines are byte-identical
-/// to the shared-recorder ones: ids are still allocated densely in
-/// recording order, and the merge sort restores that order exactly.
+/// Cheap to clone (an `Rc` underneath); the simulator and every
+/// subsystem hold clones and push completed spans from the single
+/// simulation thread. Recording can be disabled wholesale so benchmark
+/// runs that do not need traces pay only a flag check. A span's
+/// [`SpanId`] is its position in recording order.
 #[derive(Clone)]
 pub struct TraceRecorder {
-    inner: Arc<Inner>,
-}
-
-/// One thread's append-only span buffer. Only the owning thread pushes;
-/// the mutex exists so `snapshot`/`len`/`clear` can read from any
-/// thread, and is uncontended on the recording path.
-#[derive(Default)]
-struct ThreadBuf {
-    spans: Mutex<Vec<Span>>,
+    inner: Rc<Inner>,
 }
 
 struct Inner {
-    /// Every thread's buffer, registered on that thread's first record.
-    buffers: Mutex<Vec<Arc<ThreadBuf>>>,
-    /// Next [`SpanId`] — dense, in recording order, across all threads.
-    next_id: AtomicU64,
-    enabled: AtomicBool,
-    /// Distinguishes this recorder in the thread-local buffer cache
-    /// (unique per recorder, never reused).
-    key: u64,
-}
-
-/// Source of unique recorder keys for the thread-local cache.
-static RECORDER_KEYS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// This thread's buffer per live recorder, keyed by `Inner::key`.
-    /// Weak so a dropped recorder's buffers do not leak across the many
-    /// short-lived runtimes a fuzz run creates.
-    static LOCAL_BUFS: RefCell<Vec<(u64, Weak<ThreadBuf>)>> = const { RefCell::new(Vec::new()) };
+    spans: RefCell<Vec<Span>>,
+    enabled: Cell<bool>,
 }
 
 impl Default for TraceRecorder {
@@ -289,11 +252,9 @@ impl TraceRecorder {
     /// A new, enabled recorder.
     pub fn new() -> Self {
         TraceRecorder {
-            inner: Arc::new(Inner {
-                buffers: Mutex::new(Vec::new()),
-                next_id: AtomicU64::new(0),
-                enabled: AtomicBool::new(true),
-                key: RECORDER_KEYS.fetch_add(1, Ordering::Relaxed),
+            inner: Rc::new(Inner {
+                spans: RefCell::new(Vec::new()),
+                enabled: Cell::new(true),
             }),
         }
     }
@@ -307,33 +268,12 @@ impl TraceRecorder {
 
     /// Enable or disable recording.
     pub fn set_enabled(&self, enabled: bool) {
-        self.inner.enabled.store(enabled, Ordering::Relaxed);
+        self.inner.enabled.set(enabled);
     }
 
     /// Whether spans are currently being kept.
     pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
-    }
-
-    /// The calling thread's buffer for this recorder, created and
-    /// registered on first use.
-    fn local_buf(&self) -> Arc<ThreadBuf> {
-        let key = self.inner.key;
-        LOCAL_BUFS.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some((_, weak)) = cache.iter().find(|(k, _)| *k == key) {
-                if let Some(buf) = weak.upgrade() {
-                    return buf;
-                }
-            }
-            let buf = Arc::new(ThreadBuf::default());
-            self.inner.buffers.lock().unwrap().push(Arc::clone(&buf));
-            // Drop stale entries (dead recorders) while we hold the
-            // cache anyway, then remember the new buffer.
-            cache.retain(|(k, weak)| *k != key && weak.strong_count() > 0);
-            cache.push((key, Arc::downgrade(&buf)));
-            buf
-        })
+        self.inner.enabled.get()
     }
 
     /// Record a completed span. Returns its id (or a dummy id when
@@ -351,13 +291,14 @@ impl TraceRecorder {
             return SpanId(u64::MAX);
         }
         debug_assert!(end >= start, "span ends before it starts");
-        let id = SpanId(self.inner.next_id.fetch_add(1, Ordering::Relaxed));
-        let buf = self.local_buf();
-        buf.spans.lock().unwrap().push(Span {
+        let label = label.into();
+        let mut spans = self.inner.spans.borrow_mut();
+        let id = SpanId(spans.len() as u64);
+        spans.push(Span {
             id,
             lane,
             kind,
-            label: label.into(),
+            label,
             start,
             end,
             bytes,
@@ -367,13 +308,7 @@ impl TraceRecorder {
 
     /// Number of spans recorded so far.
     pub fn len(&self) -> usize {
-        self.inner
-            .buffers
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|b| b.spans.lock().unwrap().len())
-            .sum()
+        self.inner.spans.borrow().len()
     }
 
     /// True if nothing has been recorded.
@@ -381,26 +316,16 @@ impl TraceRecorder {
         self.len() == 0
     }
 
-    /// Snapshot the recorded spans, merged across every thread's buffer
-    /// and sorted by start time, then id.
+    /// Snapshot the recorded spans, sorted by start time, then id.
     pub fn snapshot(&self) -> Vec<Span> {
-        let buffers = self.inner.buffers.lock().unwrap();
-        let mut spans: Vec<Span> = buffers
-            .iter()
-            .flat_map(|b| b.spans.lock().unwrap().clone())
-            .collect();
-        drop(buffers);
+        let mut spans = self.inner.spans.borrow().clone();
         spans.sort_by_key(|s| (s.start, s.id));
         spans
     }
 
     /// Drop all recorded spans (ids restart from zero).
     pub fn clear(&self) {
-        let buffers = self.inner.buffers.lock().unwrap();
-        for b in buffers.iter() {
-            b.spans.lock().unwrap().clear();
-        }
-        self.inner.next_id.store(0, Ordering::Relaxed);
+        self.inner.spans.borrow_mut().clear();
     }
 }
 
@@ -443,39 +368,26 @@ mod tests {
     }
 
     #[test]
-    fn multi_thread_records_merge_densely() {
+    fn ids_are_recording_positions_and_restart_after_clear() {
         let rec = TraceRecorder::new();
-        let mut handles = Vec::new();
-        for th in 0..4u64 {
-            let rec = rec.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..25u64 {
-                    rec.record(
-                        Lane::compute(th as u32),
-                        SpanKind::Kernel,
-                        format!("t{th}-{i}"),
-                        t(i),
-                        t(i + 1),
-                        0,
-                    );
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(rec.len(), 100);
+        let a = rec.record(Lane::Host, SpanKind::Other, "a", t(5), t(6), 0);
+        let b = rec.record(Lane::Host, SpanKind::Other, "b", t(0), t(1), 0);
+        assert_eq!((a, b), (SpanId(0), SpanId(1)));
+        // Disabled recording hands out the dummy id and allocates none.
+        rec.set_enabled(false);
+        let x = rec.record(Lane::Host, SpanKind::Other, "x", t(0), t(1), 0);
+        assert_eq!(x, SpanId(u64::MAX));
+        rec.set_enabled(true);
+        let c = rec.record(Lane::Host, SpanKind::Other, "c", t(0), t(1), 0);
+        assert_eq!(c, SpanId(2));
+        // Same start: the id breaks the tie.
         let snap = rec.snapshot();
-        assert_eq!(snap.len(), 100);
-        // Ids are dense across all threads' buffers.
-        let mut ids: Vec<u64> = snap.iter().map(|s| s.id.0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..100).collect::<Vec<_>>());
-        // Clearing restarts the dense id sequence from zero.
+        let order: Vec<&str> = snap.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(order, ["b", "c", "a"]);
         rec.clear();
         assert!(rec.is_empty());
-        let id = rec.record(Lane::Host, SpanKind::Other, "again", t(0), t(1), 0);
-        assert_eq!(id, SpanId(0));
+        let again = rec.record(Lane::Host, SpanKind::Other, "again", t(0), t(1), 0);
+        assert_eq!(again, SpanId(0));
     }
 
     #[test]
