@@ -11,8 +11,8 @@
 //! Usage: `cargo run --release -p spread-bench --bin export`
 
 use spread_bench::report::{centers_checksum, profile_obj, Report};
-use spread_core::ResiliencePolicy;
-use spread_somier::one_buffer::{run_spread_auto, run_spread_resilient};
+use spread_core::prelude::*;
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::SomierConfig;
 
 const N_GPUS: usize = 2;
@@ -33,16 +33,21 @@ fn config() -> SomierConfig {
     cfg.with_slow_device(SLOW_DEVICE, SLOW_FACTOR)
 }
 
+/// `spread_schedule(auto)` with one profile key per kernel
+/// (`somier-forces`, …).
+fn auto_keys(t: TargetSpread, kernel: &'static str) -> TargetSpread {
+    t.with_schedule(SpreadSchedule::auto(format!("somier-{kernel}")))
+}
+
 fn main() {
     let cfg = config();
 
     let mut static_rt = cfg.runtime(N_GPUS);
     let static_report =
-        run_spread_resilient(&mut static_rt, &cfg, N_GPUS, ResiliencePolicy::FailStop)
-            .expect("static run");
+        run_spread_scoped(&mut static_rt, &cfg, N_GPUS, |t, _| t).expect("static run");
 
     let mut auto_rt = cfg.runtime(N_GPUS);
-    let auto_report = run_spread_auto(&mut auto_rt, &cfg, N_GPUS).expect("auto run");
+    let auto_report = run_spread_scoped(&mut auto_rt, &cfg, N_GPUS, auto_keys).expect("auto run");
     assert_eq!(
         auto_report.centers, static_report.centers,
         "adapted splits must not change the physics"

@@ -18,8 +18,7 @@
 //! Usage: `cargo run --release -p spread-bench --bin export_overlap`
 
 use spread_bench::report::{centers_checksum, Obj, Report, Value};
-use spread_core::ResiliencePolicy;
-use spread_somier::one_buffer::{run_spread_overlap, run_spread_resilient};
+use spread_somier::one_buffer::{run_spread_overlap, run_spread_scoped};
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{profile_window, SimTime};
@@ -57,8 +56,7 @@ fn main() {
     let devices: Vec<u32> = (0..N_GPUS as u32).collect();
 
     let mut base_rt = cfg.runtime(N_GPUS);
-    let base = run_spread_resilient(&mut base_rt, &cfg, N_GPUS, ResiliencePolicy::FailStop)
-        .expect("baseline run");
+    let base = run_spread_scoped(&mut base_rt, &cfg, N_GPUS, |t, _| t).expect("baseline run");
     assert_eq!(
         base.centers, reference.centers,
         "the One-Buffer baseline must match the CPU reference"

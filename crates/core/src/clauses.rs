@@ -12,8 +12,9 @@
 //! methods, documented once, here. A clause that a particular directive
 //! cannot honor is **rejected at launch** with
 //! [`RtError::InvalidDirective`] naming the clause, never silently
-//! dropped; the composition rules live in the DESIGN.md clause matrix
-//! and in each method's documentation below.
+//! dropped. On `target spread` the composition rules are one table in
+//! [`target_spread`](crate::target_spread) (the source of the DESIGN.md
+//! clause matrix); each method's documentation below states them too.
 //!
 //! | Clause (paper / extension) | Method | Default |
 //! |---|---|---|
@@ -24,10 +25,6 @@
 //! | `spread_straggler_beta(β)` (extension) | [`with_straggler_beta`](SpreadClausesExt::with_straggler_beta) | `4.0` |
 //! | `spread_integrity(…)` (extension) | [`with_integrity`](SpreadClausesExt::with_integrity) | [`IntegrityMode::Off`] |
 //! | `spread_overlap(…)` (extension) | [`with_overlap`](SpreadClausesExt::with_overlap) | [`OverlapPolicy::Off`] |
-//!
-//! The old per-builder inherent `spread_*` forwarders served their one
-//! deprecation release and are gone; this trait is the only clause
-//! surface.
 //!
 //! [`TargetSpread`]: crate::target_spread::TargetSpread
 //! [`TargetDataSpread`]: crate::data_spread::TargetDataSpread

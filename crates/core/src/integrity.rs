@@ -25,14 +25,13 @@
 //! poisons the runtime — healing routes around lies, not around dead
 //! hardware.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use spread_rt::{ConstructIds, IntegrityAction, KernelSpec, RtError, Scope, TaskId};
 use spread_trace::{Lane, SpanKind};
 
 use crate::chunk::ChunkCtx;
+use crate::resilience::Ledger;
 use crate::target_spread::TargetSpread;
 
 /// Shared heal state for one `spread_integrity(heal)` launch.
@@ -42,13 +41,10 @@ pub(crate) struct Healer {
     /// Whether `spread_resilience(redistribute)` was also given: genuine
     /// device loss re-places the chunk instead of poisoning the runtime.
     redistribute: bool,
-    /// Round-robin cursor over the device list for survivor picks.
-    rr: Cell<usize>,
-    /// Per device: exit ids of every construct placed on it (original or
-    /// redo), in placement order. Redos serialize after all of them —
-    /// the same gap-condition-by-ordering rule the resilience
+    /// Constructs placed per device; re-routed redos serialize after
+    /// them, the same gap-condition-by-ordering rule the resilience
     /// coordinator uses.
-    exits: RefCell<HashMap<u32, Vec<TaskId>>>,
+    ledger: Ledger,
 }
 
 impl Healer {
@@ -61,24 +57,8 @@ impl Healer {
             spread,
             kernel,
             redistribute,
-            rr: Cell::new(0),
-            exits: RefCell::new(HashMap::new()),
+            ledger: Ledger::default(),
         })
-    }
-
-    /// Next live device in list order, or `None` if the whole
-    /// `devices(…)` list is dead (or quarantined).
-    fn pick_survivor(&self, s: &Scope<'_>) -> Option<u32> {
-        let devices = self.spread.device_list();
-        for _ in 0..devices.len() {
-            let i = self.rr.get() % devices.len();
-            self.rr.set(i + 1);
-            let d = devices[i];
-            if !s.is_device_lost(d) {
-                return Some(d);
-            }
-        }
-        None
     }
 }
 
@@ -94,12 +74,7 @@ pub(crate) fn guard(
     len: usize,
     ids: ConstructIds,
 ) {
-    healer
-        .exits
-        .borrow_mut()
-        .entry(device)
-        .or_default()
-        .push(ids.exit);
+    healer.ledger.place(device, ids.exit);
     let healer = Rc::clone(healer);
     scope.on_task_integrity(&ids.all(), device, move |s, faulted, err| {
         heal(s, &healer, device, start, len, ids, faulted, err);
@@ -138,7 +113,7 @@ fn heal(
         // Quarantined (corrupt + lost, or a sibling chunk evicted by
         // the quarantine) — or a genuine loss under composed
         // redistribution. Either way: route to a survivor.
-        healer.pick_survivor(s)
+        healer.ledger.pick_survivor(s, healer.spread.device_list())
     } else {
         // Genuine device loss without spread_resilience(redistribute):
         // healing covers lies, not dead hardware — fail-stop.
@@ -180,12 +155,7 @@ fn heal(
     let preds = if target == home {
         Vec::new()
     } else {
-        healer
-            .exits
-            .borrow()
-            .get(&target)
-            .cloned()
-            .unwrap_or_default()
+        healer.ledger.exits_on(target)
     };
     let c = ChunkCtx::new(start, len);
     let t = healer.spread.build_target(target, c).after(preds);

@@ -35,7 +35,6 @@
 //! `spread-check` oracle re-runs the same pure planner and predicts the
 //! exact event sequence.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
@@ -47,6 +46,7 @@ use spread_rt::{
 use crate::chunk::ChunkCtx;
 use crate::schedule::Chunk;
 use crate::target_spread::TargetSpread;
+use crate::testing::Canary;
 
 /// What a `target spread` construct does when a chunk's mapped
 /// footprint exceeds the available device memory.
@@ -324,31 +324,11 @@ pub fn spec_admission(
 pub(crate) struct PressureCoordinator {
     spread: Rc<TargetSpread>,
     kernel: KernelSpec,
-    policy: PressurePolicy,
-    /// Failure-injection hook forwarded to the spill executor.
-    drop_last_spill_slice: bool,
-    /// Recursion guard: reactive splits outstanding (diagnostics only).
-    splits: RefCell<u32>,
 }
 
 impl PressureCoordinator {
-    pub(crate) fn new(
-        spread: Rc<TargetSpread>,
-        kernel: KernelSpec,
-        policy: PressurePolicy,
-        drop_last_spill_slice: bool,
-    ) -> Rc<Self> {
-        Rc::new(PressureCoordinator {
-            spread,
-            kernel,
-            policy,
-            drop_last_spill_slice,
-            splits: RefCell::new(0),
-        })
-    }
-
-    pub(crate) fn drop_last_spill_slice(&self) -> bool {
-        self.drop_last_spill_slice
+    pub(crate) fn new(spread: Rc<TargetSpread>, kernel: KernelSpec) -> Rc<Self> {
+        Rc::new(PressureCoordinator { spread, kernel })
     }
 }
 
@@ -397,7 +377,7 @@ fn recover(
         }
     }
     if len <= 1 {
-        match coord.policy {
+        match coord.spread.pressure() {
             PressurePolicy::Spill => {
                 let bytes = coord.spread.footprint_bytes(start, len);
                 s.record_degradation(DegradationEvent {
@@ -413,7 +393,7 @@ fn recover(
                     start..start + len,
                     coord.kernel.clone(),
                     Vec::new(),
-                    coord.drop_last_spill_slice(),
+                    coord.spread.armed(Canary::DropLastSpillSlice),
                 );
                 s.task_chained(
                     format!("spread-pressure-done(dev{device})"),
@@ -426,7 +406,6 @@ fn recover(
         }
         return;
     }
-    *coord.splits.borrow_mut() += 1;
     let halves = [(start, len / 2), (start + len / 2, len - len / 2)];
     let mut prev_exit: Option<TaskId> = None;
     let mut exits = Vec::with_capacity(2);

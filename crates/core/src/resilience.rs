@@ -45,32 +45,41 @@ pub enum ResiliencePolicy {
     Redistribute,
 }
 
-/// Shared recovery state for one resilient spread launch.
-pub(crate) struct Coordinator {
-    spread: Rc<TargetSpread>,
-    kernel: KernelSpec,
-    /// Round-robin cursor over the device list for survivor picks.
+/// The placement ledger every recovery path of one spread launch keeps
+/// (resilience replacements, heal redos, straggler rescues): per
+/// device, the exit ids of every construct placed on it — original or
+/// re-placed — in placement order, and a round-robin cursor over the
+/// `devices(…)` list for survivor picks. A re-placed piece serializes
+/// after every exit already on its target device, which re-establishes
+/// the §V-B gap condition by ordering.
+#[derive(Default)]
+pub(crate) struct Ledger {
     rr: Cell<usize>,
-    /// Per device: exit ids of every construct placed on it (original
-    /// or replacement), in placement order. Replacements serialize
-    /// after all of them.
     exits: RefCell<HashMap<u32, Vec<TaskId>>>,
 }
 
-impl Coordinator {
-    pub(crate) fn new(spread: Rc<TargetSpread>, kernel: KernelSpec) -> Rc<Self> {
-        Rc::new(Coordinator {
-            spread,
-            kernel,
-            rr: Cell::new(0),
-            exits: RefCell::new(HashMap::new()),
-        })
+impl Ledger {
+    /// Record a construct placed on `device`.
+    pub(crate) fn place(&self, device: u32, exit: TaskId) {
+        self.exits
+            .borrow_mut()
+            .entry(device)
+            .or_default()
+            .push(exit);
     }
 
-    /// Next live device in list order, or `None` if the whole
-    /// `devices(…)` list is dead.
-    fn pick_survivor(&self, s: &Scope<'_>) -> Option<u32> {
-        let devices = self.spread.device_list();
+    /// Exits of every construct placed on `device` so far.
+    pub(crate) fn exits_on(&self, device: u32) -> Vec<TaskId> {
+        self.exits
+            .borrow()
+            .get(&device)
+            .cloned()
+            .unwrap_or_default()
+    }
+
+    /// Next live device of `devices` in list order, or `None` if the
+    /// whole list is dead (or quarantined).
+    pub(crate) fn pick_survivor(&self, s: &Scope<'_>, devices: &[u32]) -> Option<u32> {
         for _ in 0..devices.len() {
             let i = self.rr.get() % devices.len();
             self.rr.set(i + 1);
@@ -80,6 +89,23 @@ impl Coordinator {
             }
         }
         None
+    }
+}
+
+/// Shared recovery state for one resilient spread launch.
+pub(crate) struct Coordinator {
+    spread: Rc<TargetSpread>,
+    kernel: KernelSpec,
+    ledger: Ledger,
+}
+
+impl Coordinator {
+    pub(crate) fn new(spread: Rc<TargetSpread>, kernel: KernelSpec) -> Rc<Self> {
+        Rc::new(Coordinator {
+            spread,
+            kernel,
+            ledger: Ledger::default(),
+        })
     }
 }
 
@@ -94,12 +120,7 @@ pub(crate) fn guard(
     len: usize,
     ids: ConstructIds,
 ) {
-    coord
-        .exits
-        .borrow_mut()
-        .entry(device)
-        .or_default()
-        .push(ids.exit);
+    coord.ledger.place(device, ids.exit);
     let coord = Rc::clone(coord);
     scope.on_task_fault(&ids.all(), device, move |s, faulted, err| {
         recover(s, &coord, device, start, len, ids, faulted, err);
@@ -120,7 +141,7 @@ fn recover(
     faulted: TaskId,
     err: RtError,
 ) {
-    let Some(survivor) = coord.pick_survivor(s) else {
+    let Some(survivor) = coord.ledger.pick_survivor(s, coord.spread.device_list()) else {
         // The whole devices(…) list is dead — nowhere left to route.
         s.fail(err);
         return;
@@ -146,12 +167,7 @@ fn recover(
     );
     // Rebuild the construct on the survivor, serialized after every
     // construct already placed there (gap condition by ordering).
-    let preds = coord
-        .exits
-        .borrow()
-        .get(&survivor)
-        .cloned()
-        .unwrap_or_default();
+    let preds = coord.ledger.exits_on(survivor);
     let c = ChunkCtx::new(start, len);
     let t = coord.spread.build_target(survivor, c).after(preds);
     match t.parallel_for_phases(s, start..start + len, coord.kernel.clone()) {

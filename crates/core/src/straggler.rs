@@ -43,7 +43,9 @@ use spread_rt::{CommitGate, ConstructIds, KernelSpec, RescueRecord, Scope, TaskI
 use spread_trace::{SimDuration, SimTime};
 
 use crate::chunk::ChunkCtx;
+use crate::resilience::Ledger;
 use crate::target_spread::TargetSpread;
+use crate::testing::Canary;
 
 /// What a `target spread` construct does about a piece that lags far
 /// behind its siblings (detected by the β-deadline above).
@@ -83,24 +85,20 @@ pub(crate) struct Monitor {
     /// Set once the first kernel completion arms the deadline.
     armed: Cell<bool>,
     watched: RefCell<Vec<Watched>>,
-    /// Per device: exit ids of every construct placed on it (original
-    /// or rescue), in placement order — rescues serialize after them.
-    exits: RefCell<HashMap<u32, Vec<TaskId>>>,
+    /// Constructs placed per device (original or rescue); rescues
+    /// serialize after them.
+    ledger: Ledger,
     /// Iterations already rescued *onto* each device (load accounting
     /// for the least-loaded pick).
     rescue_load: RefCell<HashMap<u32, u64>>,
     /// Exits of launched rescues not yet handed to the blocking drain.
     pending_rescue_exits: RefCell<Vec<TaskId>>,
-    /// Canary: force losing commits through (see
-    /// [`crate::testing::TargetSpreadTestingExt`]).
-    force_double: bool,
 }
 
 impl Monitor {
     pub(crate) fn new(spread: Rc<TargetSpread>, kernel: KernelSpec, t0: SimTime) -> Rc<Self> {
         let policy = spread.straggler();
         let beta = spread.straggler_beta();
-        let force_double = spread.force_rescue_double_commit();
         Rc::new(Monitor {
             spread,
             kernel,
@@ -109,10 +107,9 @@ impl Monitor {
             t0,
             armed: Cell::new(false),
             watched: RefCell::new(Vec::new()),
-            exits: RefCell::new(HashMap::new()),
+            ledger: Ledger::default(),
             rescue_load: RefCell::new(HashMap::new()),
             pending_rescue_exits: RefCell::new(Vec::new()),
-            force_double,
         })
     }
 
@@ -219,10 +216,10 @@ impl Monitor {
             stolen,
         });
         gate.set_log_idx(idx);
-        if self.force_double {
+        if self.spread.armed(Canary::RescueDoubleCommit) {
             gate.force_duplicate();
         }
-        let preds = self.exits.borrow().get(&to).cloned().unwrap_or_default();
+        let preds = self.ledger.exits_on(to);
         let c = ChunkCtx::new(start, len);
         // No depend clauses on the rescue: it must *race* the original
         // construct, not queue behind its publishes; downstream
@@ -234,11 +231,7 @@ impl Monitor {
             .after(preds);
         match t.parallel_for_phases(s, start..start + len, self.kernel.clone()) {
             Ok(redo) => {
-                self.exits
-                    .borrow_mut()
-                    .entry(to)
-                    .or_default()
-                    .push(redo.exit);
+                self.ledger.place(to, redo.exit);
                 *self.rescue_load.borrow_mut().entry(to).or_default() += len as u64;
                 self.pending_rescue_exits.borrow_mut().push(redo.exit);
                 if stolen {
@@ -274,12 +267,7 @@ pub(crate) fn watch(
         gate,
         rescued: Cell::new(false),
     });
-    monitor
-        .exits
-        .borrow_mut()
-        .entry(device)
-        .or_default()
-        .push(ids.exit);
+    monitor.ledger.place(device, ids.exit);
     let m = Rc::clone(monitor);
     scope.task_chained(
         format!("straggler-probe(dev{device})"),

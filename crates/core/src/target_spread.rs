@@ -32,6 +32,7 @@ use crate::resilience::{Coordinator, ResiliencePolicy};
 use crate::schedule::{distribute, SpreadSchedule};
 use crate::spread_map::{SectionOf, SpreadMap};
 use crate::straggler::StragglerPolicy;
+use crate::testing::Canary;
 
 /// A `depend` clause item over the spread placeholders.
 #[derive(Clone)]
@@ -46,6 +47,127 @@ impl SpreadDep {
     }
 }
 
+/// A test on a construct's clause set.
+type ClauseTest = fn(&ClauseSet) -> bool;
+
+/// One row of the clause-composition table (DESIGN.md §14): when its
+/// clause is on a construct, what the clause requires of the construct
+/// and which clause sets it rejects. [`TargetSpread::validate`] walks
+/// the rows in order and reports the first violation.
+struct Rule {
+    /// The clause, as the rejection message names it.
+    clause: &'static str,
+    /// Whether the clause is on the construct.
+    active: ClauseTest,
+    /// Requires a static distribution: dynamic chunks have no stable
+    /// piece → device identity to rebuild, rescue, admit or sub-slice.
+    needs_static: bool,
+    /// Requires a blocking construct: its drain owns the redo, rescue,
+    /// admission, staged-commit or profile window.
+    needs_blocking: bool,
+    /// Rejected when a predicate holds; the text completes the message.
+    conflicts: &'static [(ClauseTest, &'static str)],
+}
+
+fn schedule_auto(c: &ClauseSet) -> bool {
+    matches!(c.schedule, Some(SpreadSchedule::Auto { .. }))
+}
+
+fn pressure_on(c: &ClauseSet) -> bool {
+    c.pressure != PressurePolicy::Fail
+}
+
+/// The clause-composition table: the source of the DESIGN.md §14
+/// matrix, enforced cell by cell by `crates/core/tests/clause_matrix.rs`.
+const RULES: &[Rule] = &[
+    // The profile window closes at construct completion.
+    Rule {
+        clause: "spread_schedule(auto)",
+        active: schedule_auto,
+        needs_static: false,
+        needs_blocking: true,
+        conflicts: &[],
+    },
+    // Special row: the depth controller learns per construct key.
+    Rule {
+        clause: "spread_overlap(auto)",
+        active: |c| c.overlap == OverlapPolicy::Auto,
+        needs_static: false,
+        needs_blocking: false,
+        conflicts: &[(
+            |c| !schedule_auto(c),
+            "requires spread_schedule(auto) on the same construct",
+        )],
+    },
+    Rule {
+        clause: "spread_resilience(redistribute)",
+        active: |c| c.resilience == ResiliencePolicy::Redistribute,
+        needs_static: true,
+        needs_blocking: false,
+        conflicts: &[],
+    },
+    // Special row: a pipeline has at least one stage.
+    Rule {
+        clause: "spread_overlap(0)",
+        active: |c| c.overlap == OverlapPolicy::Depth(0),
+        needs_static: false,
+        needs_blocking: false,
+        conflicts: &[(|_| true, "is invalid (depth must be ≥ 1)")],
+    },
+    // Admission budgets whole pieces; splitting or spilling a piece
+    // mid-pipeline would invalidate both plans.
+    Rule {
+        clause: "spread_overlap(…)",
+        active: |c| c.overlap != OverlapPolicy::Off,
+        needs_static: true,
+        needs_blocking: true,
+        conflicts: &[(
+            pressure_on,
+            "is incompatible with spread_pressure(split|spill)",
+        )],
+    },
+    Rule {
+        clause: "spread_straggler(steal|replicate)",
+        active: |c| c.straggler != StragglerPolicy::Wait,
+        needs_static: true,
+        needs_blocking: true,
+        conflicts: &[],
+    },
+    // A heal redo racing a rescue of the same piece would
+    // double-arbitrate its commit, and healing replays whole phases the
+    // pressure ladder splits. `verify` composes with both.
+    Rule {
+        clause: "spread_integrity(heal)",
+        active: |c| c.integrity == IntegrityMode::Heal,
+        needs_static: true,
+        needs_blocking: true,
+        conflicts: &[
+            (
+                |c| c.straggler != StragglerPolicy::Wait,
+                "is incompatible with spread_straggler(steal|replicate); use \
+                 spread_integrity(verify)",
+            ),
+            (
+                pressure_on,
+                "is incompatible with spread_pressure(split|spill); use \
+                 spread_integrity(verify)",
+            ),
+        ],
+    },
+    // Both clauses re-place chunks through their own recovery
+    // coordinators.
+    Rule {
+        clause: "spread_pressure(split|spill)",
+        active: pressure_on,
+        needs_static: true,
+        needs_blocking: true,
+        conflicts: &[(
+            |c| c.resilience == ResiliencePolicy::Redistribute,
+            "is incompatible with spread_resilience(redistribute)",
+        )],
+    },
+];
+
 /// Builder for `#pragma omp target spread [teams distribute parallel
 /// for]`.
 #[derive(Clone)]
@@ -59,9 +181,7 @@ pub struct TargetSpread {
     num_teams: Option<u32>,
     num_threads: Option<u32>,
     serial: bool,
-    drop_last_spill_slice: bool,
-    force_rescue_double_commit: bool,
-    force_overlap_leak: bool,
+    canary: Option<Canary>,
 }
 
 impl SpreadClausesExt for TargetSpread {
@@ -87,9 +207,7 @@ impl TargetSpread {
             num_teams: None,
             num_threads: None,
             serial: false,
-            drop_last_spill_slice: false,
-            force_rescue_double_commit: false,
-            force_overlap_leak: false,
+            canary: None,
         }
     }
 
@@ -188,29 +306,16 @@ impl TargetSpread {
         self.clauses.straggler_beta
     }
 
-    /// Whether the rescue double-commit canary is armed.
-    pub(crate) fn force_rescue_double_commit(&self) -> bool {
-        self.force_rescue_double_commit
-    }
-
-    /// Setter behind the `testing` module's injection hook (see
+    /// Arm a canary (behind the `testing` module's injection hooks, see
     /// [`crate::testing`]); the field stays module-private.
-    pub(crate) fn set_force_rescue_double_commit(&mut self) {
-        self.force_rescue_double_commit = true;
+    pub(crate) fn arm(mut self, canary: Canary) -> Self {
+        self.canary = Some(canary);
+        self
     }
 
-    /// Setter behind the `testing` module's injection hook (see
-    /// [`crate::testing`]); the field stays module-private.
-    pub(crate) fn set_drop_last_spill_slice(&mut self) {
-        self.drop_last_spill_slice = true;
-    }
-
-    /// Setter behind the `testing` module's injection hook (see
-    /// [`crate::testing`]): arm the overlap sub-slice leak canary, which
-    /// makes pipelined pieces commit one staged sub-slice *early* (a
-    /// deliberate bug the `--overlap` fuzz mode must catch).
-    pub(crate) fn set_force_overlap_leak(&mut self) {
-        self.force_overlap_leak = true;
+    /// Whether `canary` is armed.
+    pub(crate) fn armed(&self, canary: Canary) -> bool {
+        self.canary == Some(canary)
     }
 
     /// The mapped-footprint bytes of the piece `[start, start + len)` —
@@ -251,30 +356,14 @@ impl TargetSpread {
         distribute(range, &self.devices, self.schedule())
     }
 
+    /// The per-chunk single-device construct for chunk `c` on `device`.
     pub(crate) fn build_target(&self, device: u32, c: ChunkCtx) -> Target {
-        let mut t = Target::device(device)
-            .nowait()
-            .integrity(self.clauses.integrity);
-        if let Some(depth) = self.clauses.overlap.depth() {
-            if depth > 1 {
-                t = t.overlap(depth);
-                if self.force_overlap_leak {
-                    t = t.overlap_leak();
-                }
+        let mut t = self.build_rescue_target(device, c);
+        if let Some(depth) = self.clauses.overlap.depth().filter(|&d| d > 1) {
+            t = t.overlap(depth);
+            if self.armed(Canary::OverlapLeak) {
+                t = t.overlap_leak();
             }
-        }
-        if self.serial {
-            t = t.serial();
-        } else {
-            if let Some(n) = self.num_teams {
-                t = t.num_teams(n);
-            }
-            if let Some(n) = self.num_threads {
-                t = t.num_threads(n);
-            }
-        }
-        for m in &self.maps {
-            t = t.map(m.at(c));
         }
         for d in &self.dep_ins {
             t = t.depend_in(d.at(c));
@@ -326,18 +415,11 @@ impl TargetSpread {
                 "target spread: devices(…) must not be empty".into(),
             ));
         }
+        self.validate()?;
         // Resolve `spread_schedule(auto)` into a concrete StaticWeighted
-        // plan before any further validation, so auto composes with
-        // resilience/pressure exactly where StaticWeighted does.
+        // plan, so auto launches exactly where StaticWeighted does.
         let auto = if let Some(SpreadSchedule::Auto { key }) = &self.clauses.schedule {
             let key = key.clone();
-            if self.nowait {
-                // The profile window closes at construct completion; a
-                // nowait construct has no such point to observe.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_schedule(auto) requires a blocking construct".into(),
-                ));
-            }
             let weights = scope.adaptive_weights(&key, self.devices.len());
             let round = range.len().max(1);
             self.clauses.schedule = Some(SpreadSchedule::StaticWeighted {
@@ -351,21 +433,19 @@ impl TargetSpread {
         // Resolve `spread_overlap(auto)` against the same construct key:
         // the ProfileStore explores depths {1, 2, 4} first, then keeps
         // the exponentially-weighted argmin of construct duration.
-        let auto_depth = if self.clauses.overlap == OverlapPolicy::Auto {
-            let Some((key, ..)) = &auto else {
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_overlap(auto) requires spread_schedule(auto) \
-                     on the same construct"
-                        .into(),
-                ));
-            };
-            let depth = scope.adaptive_depth(key);
-            self.clauses.overlap = OverlapPolicy::Depth(depth);
-            Some((key.clone(), depth, scope.now()))
-        } else {
-            None
+        let auto_depth = match &auto {
+            Some((key, ..)) if self.clauses.overlap == OverlapPolicy::Auto => {
+                let depth = scope.adaptive_depth(key);
+                self.clauses.overlap = OverlapPolicy::Depth(depth);
+                Some((key.clone(), depth, scope.now()))
+            }
+            _ => None,
         };
-        let ids = self.dispatch(scope, range, kernel)?;
+        let ids = if matches!(self.schedule(), SpreadSchedule::Dynamic { .. }) {
+            self.launch_dynamic(scope, range, kernel)?
+        } else {
+            self.launch_static(scope, range, kernel)?
+        };
         if let Some((key, devices, weights, round, t0)) = auto {
             scope.record_construct_profile(&key, &devices, &weights, round, t0);
         }
@@ -375,292 +455,93 @@ impl TargetSpread {
         Ok(ids)
     }
 
-    /// Validation + launch-path selection, on a concrete (never `Auto`)
-    /// schedule.
-    fn dispatch(
-        self,
-        scope: &mut Scope<'_>,
-        range: Range<usize>,
-        kernel: KernelSpec,
-    ) -> Result<Vec<TaskId>, RtError> {
-        if self.clauses.resilience == ResiliencePolicy::Redistribute
-            && matches!(self.schedule(), SpreadSchedule::Dynamic { .. })
-        {
-            // Dynamic chunks have no pre-assigned device to route off;
-            // the claim chains already absorb loss-shaped imbalance.
-            return Err(RtError::InvalidDirective(
-                "target spread: spread_resilience(redistribute) requires a static schedule".into(),
-            ));
-        }
-        match self.clauses.overlap {
-            OverlapPolicy::Off => {}
-            OverlapPolicy::Auto => {
-                // `parallel_for` resolves Auto against the construct's
-                // profile key before dispatch; reaching here means the
-                // schedule was not `auto`.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_overlap(auto) requires spread_schedule(auto) \
-                     on the same construct"
-                        .into(),
-                ));
-            }
-            OverlapPolicy::Depth(0) => {
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_overlap(0) is invalid (depth must be ≥ 1)".into(),
-                ));
-            }
-            OverlapPolicy::Depth(_) => {
-                if matches!(self.schedule(), SpreadSchedule::Dynamic { .. }) {
-                    // Sub-slice planning works off the static chunk →
-                    // device assignment.
-                    return Err(RtError::InvalidDirective(
-                        "target spread: spread_overlap(…) requires a static schedule".into(),
-                    ));
-                }
-                if self.nowait {
-                    // The pipeline's staged commits drain at the
-                    // construct's blocking completion; a nowait
-                    // construct has no such point.
-                    return Err(RtError::InvalidDirective(
-                        "target spread: spread_overlap(…) requires a blocking construct".into(),
-                    ));
-                }
-                if self.clauses.pressure != PressurePolicy::Fail {
-                    // Admission budgets whole pieces against headroom;
-                    // splitting/spilling pieces mid-pipeline would
-                    // invalidate both plans.
-                    return Err(RtError::InvalidDirective(
-                        "target spread: spread_overlap(…) is incompatible with \
-                         spread_pressure(split|spill)"
-                            .into(),
-                    ));
-                }
+    /// Check the clause set against [`RULES`]: the first violated row
+    /// rejects the construct with [`RtError::InvalidDirective`].
+    fn validate(&self) -> Result<(), RtError> {
+        let dynamic = matches!(self.schedule(), SpreadSchedule::Dynamic { .. });
+        for rule in RULES.iter().filter(|r| (r.active)(&self.clauses)) {
+            let why = if rule.needs_static && dynamic {
+                Some("requires a static schedule")
+            } else if rule.needs_blocking && self.nowait {
+                Some("requires a blocking construct")
+            } else {
+                rule.conflicts
+                    .iter()
+                    .find(|(when, _)| when(&self.clauses))
+                    .map(|&(_, why)| why)
+            };
+            if let Some(why) = why {
+                return Err(RtError::InvalidDirective(format!(
+                    "target spread: {} {why}",
+                    rule.clause
+                )));
             }
         }
-        if self.clauses.straggler != StragglerPolicy::Wait {
-            if matches!(self.schedule(), SpreadSchedule::Dynamic { .. }) {
-                // The deadline sweep and the least-loaded pick both work
-                // off the static chunk → device assignment; dynamic
-                // chunks already absorb imbalance through claim order.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_straggler(steal|replicate) requires a static schedule"
-                        .into(),
-                ));
-            }
-            if self.nowait {
-                // The construct's blocking drain owns the rescue exits;
-                // a nowait construct has no drain to hand them to.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_straggler(steal|replicate) requires a blocking \
-                     construct"
-                        .into(),
-                ));
-            }
-        }
-        if self.clauses.integrity == IntegrityMode::Heal {
-            if matches!(self.schedule(), SpreadSchedule::Dynamic { .. }) {
-                // Healing rebuilds the *same* piece on a known device;
-                // dynamic chunks have no stable piece → device identity
-                // to rebuild against.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_integrity(heal) requires a static schedule".into(),
-                ));
-            }
-            if self.nowait {
-                // The blocking drain owns the redo exits; a nowait
-                // construct has no drain to absorb them into.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_integrity(heal) requires a blocking construct".into(),
-                ));
-            }
-            if self.clauses.straggler != StragglerPolicy::Wait {
-                // A rescue's first-commit-wins arbitration assumes every
-                // commit is trustworthy; a healing redo racing a rescue
-                // of the same piece would double-arbitrate it. `verify`
-                // composes (a mismatch just fails the construct).
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_integrity(heal) is incompatible with \
-                     spread_straggler(steal|replicate); use spread_integrity(verify)"
-                        .into(),
-                ));
-            }
-            if self.clauses.pressure != PressurePolicy::Fail {
-                // Both clauses register recovery handlers on the same
-                // construct phases; composing the two degradation
-                // ladders is future work. `verify` composes.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_integrity(heal) is incompatible with \
-                     spread_pressure(split|spill); use spread_integrity(verify)"
-                        .into(),
-                ));
-            }
-        }
-        if self.clauses.pressure != PressurePolicy::Fail {
-            if matches!(self.schedule(), SpreadSchedule::Dynamic { .. }) {
-                // Admission plans against the static chunk → device
-                // assignment; dynamic chunks have none until claim time.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_pressure(split|spill) requires a static schedule".into(),
-                ));
-            }
-            if self.clauses.resilience == ResiliencePolicy::Redistribute {
-                // Both clauses re-place chunks through their own
-                // recovery coordinators; composing them is future work.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_pressure(split|spill) is incompatible with \
-                     spread_resilience(redistribute)"
-                        .into(),
-                ));
-            }
-            if self.nowait {
-                // The admission plan budgets the whole construct against
-                // headroom sampled at launch; letting the caller race
-                // more constructs in underneath would invalidate it.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_pressure(split|spill) requires a blocking construct"
-                        .into(),
-                ));
-            }
-            return self.launch_pressure(scope, range, kernel);
-        }
-        if matches!(self.schedule(), SpreadSchedule::Dynamic { .. }) {
-            self.launch_dynamic(scope, range, kernel)
-        } else {
-            self.launch_static(scope, range, kernel)
-        }
+        Ok(())
     }
 
-    /// The pressure-managed launch path: plan admission against live
-    /// per-device headroom, record the degradation events the plan
-    /// implies, then launch each piece — same-device pieces serialized
-    /// enter-after-exit (which both bounds the real memory peak by one
-    /// piece per device and re-establishes the §V-B gap ordering for
-    /// halo-overlapping neighbors), host pieces through the spill
-    /// executor. Each device piece is guarded for reactive splitting on
-    /// post-retry [`RtError::OutOfMemory`].
-    fn launch_pressure(
-        self,
-        scope: &mut Scope<'_>,
-        range: Range<usize>,
-        kernel: KernelSpec,
-    ) -> Result<Vec<TaskId>, RtError> {
-        let policy = self.clauses.pressure;
-        let chunks = distribute(range, &self.devices, self.schedule());
-        let headroom: HashMap<u32, u64> = self
-            .devices
-            .iter()
-            .map(|&d| (d, scope.device_headroom(d)))
-            .collect();
-        let pieces = {
-            let footprint = |start: usize, len: usize| self.footprint_bytes(start, len);
-            pressure::plan_admission(&chunks, &self.devices, &headroom, &footprint, policy)?
-        };
-        for ev in pressure::degradation_events(&pieces) {
-            scope.record_degradation(ev);
-        }
-        let drop_last = self.drop_last_spill_slice;
-        // Straggler watch composes with pressure management over the
-        // *device* pieces of the admission plan (host spills have no
-        // kernel task to watch, and no commit to arbitrate).
-        let distinct = {
-            let mut ds: Vec<u32> = pieces
-                .iter()
-                .filter_map(|p| match p.placement {
-                    Placement::Device(d) => Some(d),
-                    Placement::Host => None,
-                })
-                .collect();
-            ds.sort_unstable();
-            ds.dedup();
-            ds.len()
-        };
-        let device_pieces = pieces
-            .iter()
-            .filter(|p| matches!(p.placement, Placement::Device(_)))
-            .count();
-        let straggle =
-            self.clauses.straggler != StragglerPolicy::Wait && device_pieces >= 2 && distinct >= 2;
-        let this = Rc::new(self);
-        let coord = PressureCoordinator::new(Rc::clone(&this), kernel.clone(), policy, drop_last);
-        let monitor = straggle
-            .then(|| crate::straggler::Monitor::new(Rc::clone(&this), kernel.clone(), scope.now()));
-        let mut tail: HashMap<u32, TaskId> = HashMap::new();
-        let mut ids = Vec::with_capacity(pieces.len());
-        for piece in &pieces {
-            match piece.placement {
-                Placement::Device(d) => {
-                    let c = ChunkCtx::new(piece.start, piece.len);
-                    let mut t = this
-                        .build_target(d, c)
-                        .pressure_managed()
-                        .after(tail.get(&d).copied());
-                    let gate = if monitor.is_some() {
-                        let g = spread_rt::CommitGate::new();
-                        t = t.commit_gate(g.clone(), 0);
-                        Some(g)
-                    } else {
-                        None
-                    };
-                    let phases = t.parallel_for_phases(scope, piece.range(), kernel.clone())?;
-                    pressure::guard(scope, &coord, d, piece.start, piece.len, phases);
-                    if let (Some(m), Some(g)) = (&monitor, gate) {
-                        crate::straggler::watch(scope, m, d, piece.start, piece.len, phases, g);
-                    }
-                    tail.insert(d, phases.exit);
-                    ids.push(phases.exit);
-                }
-                Placement::Host => {
-                    let id = spread_rt::spill_chunk(
-                        scope,
-                        format!("spread-spill[{}..{})", piece.start, piece.start + piece.len),
-                        piece.range(),
-                        kernel.clone(),
-                        Vec::new(),
-                        drop_last,
-                    );
-                    ids.push(id);
-                }
-            }
-        }
-        for &id in &ids {
-            scope.drain_task(id)?;
-        }
-        if let Some(m) = &monitor {
-            loop {
-                let pending = m.take_rescue_exits();
-                if pending.is_empty() {
-                    break;
-                }
-                for id in pending {
-                    scope.drain_task(id)?;
-                }
-            }
-        }
-        Ok(ids)
-    }
-
+    /// The static-schedule launch. Pieces are the schedule's chunks or,
+    /// under `spread_pressure(split|spill)`, the admission plan against
+    /// live per-device headroom (with its degradation events recorded).
+    /// Each device piece runs as one construct under the guards its
+    /// clauses register; host pieces run through the spill executor. A
+    /// blocking construct then drains every piece, and every rescue.
     fn launch_static(
         self,
         scope: &mut Scope<'_>,
         range: Range<usize>,
         kernel: KernelSpec,
     ) -> Result<Vec<TaskId>, RtError> {
-        let nowait = self.nowait;
-        let resilient = self.clauses.resilience == ResiliencePolicy::Redistribute;
         let chunks = distribute(range, &self.devices, self.schedule());
-        // Straggler rescue needs somewhere to rescue *to*: at least two
-        // chunks spread over at least two distinct devices. Smaller
-        // launches silently degrade to `wait`.
-        let distinct = {
-            let mut ds: Vec<u32> = chunks.iter().filter_map(|c| c.device).collect();
-            ds.sort_unstable();
-            ds.dedup();
-            ds.len()
+        let managed = self.clauses.pressure != PressurePolicy::Fail;
+        let pieces: Vec<(Range<usize>, Placement)> = if managed {
+            let headroom: HashMap<u32, u64> = self
+                .devices
+                .iter()
+                .map(|&d| (d, scope.device_headroom(d)))
+                .collect();
+            let footprint = |start: usize, len: usize| self.footprint_bytes(start, len);
+            let plan = pressure::plan_admission(
+                &chunks,
+                &self.devices,
+                &headroom,
+                &footprint,
+                self.clauses.pressure,
+            )?;
+            for ev in pressure::degradation_events(&plan) {
+                scope.record_degradation(ev);
+            }
+            plan.iter().map(|p| (p.range(), p.placement)).collect()
+        } else {
+            chunks
+                .iter()
+                .map(|c| {
+                    let device = c.device.expect("static chunks are assigned");
+                    (c.range(), Placement::Device(device))
+                })
+                .collect()
         };
-        let straggle =
-            self.clauses.straggler != StragglerPolicy::Wait && chunks.len() >= 2 && distinct >= 2;
+        // Straggler rescue needs somewhere to rescue *to*: at least two
+        // device pieces over at least two distinct devices (host spills
+        // have no kernel to watch and no commit to arbitrate). Smaller
+        // launches silently degrade to `wait`.
+        let mut on_devices: Vec<u32> = pieces
+            .iter()
+            .filter_map(|(_, p)| match p {
+                Placement::Device(d) => Some(*d),
+                Placement::Host => None,
+            })
+            .collect();
+        let device_pieces = on_devices.len();
+        on_devices.sort_unstable();
+        on_devices.dedup();
+        let straggle = self.clauses.straggler != StragglerPolicy::Wait
+            && device_pieces >= 2
+            && on_devices.len() >= 2;
+        let resilient = self.clauses.resilience == ResiliencePolicy::Redistribute;
         let heal = self.clauses.integrity == IntegrityMode::Heal;
         let this = Rc::new(self);
+        let pressure = managed.then(|| PressureCoordinator::new(Rc::clone(&this), kernel.clone()));
         // Under `spread_integrity(heal)` the healer subsumes the
         // resilience coordinator: its handler covers device loss (real
         // or quarantine) *and* integrity violations, because the runtime
@@ -671,35 +552,55 @@ impl TargetSpread {
             .then(|| crate::integrity::Healer::new(Rc::clone(&this), kernel.clone(), resilient));
         let monitor = straggle
             .then(|| crate::straggler::Monitor::new(Rc::clone(&this), kernel.clone(), scope.now()));
-        let mut ids = Vec::with_capacity(chunks.len());
-        for chunk in &chunks {
-            let c = ChunkCtx::new(chunk.start, chunk.len);
-            let device = chunk.device.expect("static chunks are assigned");
-            let mut t = this.build_target(device, c);
-            let gate = if monitor.is_some() {
-                let g = spread_rt::CommitGate::new();
-                t = t.commit_gate(g.clone(), 0);
-                Some(g)
-            } else {
-                None
+        let guarded = managed || coord.is_some() || healer.is_some() || monitor.is_some();
+        let mut tail: HashMap<u32, TaskId> = HashMap::new();
+        let mut ids = Vec::with_capacity(pieces.len());
+        for (r, placement) in pieces {
+            let Placement::Device(device) = placement else {
+                ids.push(spread_rt::spill_chunk(
+                    scope,
+                    format!("spread-spill[{}..{})", r.start, r.end),
+                    r,
+                    kernel.clone(),
+                    Vec::new(),
+                    this.armed(Canary::DropLastSpillSlice),
+                ));
+                continue;
             };
-            if coord.is_some() || monitor.is_some() || healer.is_some() {
-                let phases = t.parallel_for_phases(scope, chunk.range(), kernel.clone())?;
-                if let Some(coord) = &coord {
-                    crate::resilience::guard(scope, coord, device, chunk.start, chunk.len, phases);
-                }
-                if let Some(h) = &healer {
-                    crate::integrity::guard(scope, h, device, chunk.start, chunk.len, phases);
-                }
-                if let (Some(m), Some(g)) = (&monitor, gate) {
-                    crate::straggler::watch(scope, m, device, chunk.start, chunk.len, phases, g);
-                }
-                ids.push(phases.exit);
-            } else {
-                ids.push(t.parallel_for(scope, chunk.range(), kernel.clone())?);
+            let (start, len) = (r.start, r.len());
+            let mut t = this.build_target(device, ChunkCtx::new(start, len));
+            if managed {
+                // Same-device pieces serialize enter-after-exit: that
+                // bounds the real memory peak by one piece per device
+                // and re-establishes the §V-B gap ordering for
+                // halo-overlapping neighbors.
+                t = t.pressure_managed().after(tail.get(&device).copied());
             }
+            let gate = monitor.as_ref().map(|_| spread_rt::CommitGate::new());
+            if let Some(g) = &gate {
+                t = t.commit_gate(g.clone(), 0);
+            }
+            if !guarded {
+                ids.push(t.parallel_for(scope, r, kernel.clone())?);
+                continue;
+            }
+            let phases = t.parallel_for_phases(scope, r, kernel.clone())?;
+            if let Some(p) = &pressure {
+                pressure::guard(scope, p, device, start, len, phases);
+            }
+            if let Some(c) = &coord {
+                crate::resilience::guard(scope, c, device, start, len, phases);
+            }
+            if let Some(h) = &healer {
+                crate::integrity::guard(scope, h, device, start, len, phases);
+            }
+            if let (Some(m), Some(g)) = (&monitor, gate) {
+                crate::straggler::watch(scope, m, device, start, len, phases, g);
+            }
+            tail.insert(device, phases.exit);
+            ids.push(phases.exit);
         }
-        if !nowait {
+        if !this.nowait {
             for &id in &ids {
                 scope.drain_task(id)?;
             }

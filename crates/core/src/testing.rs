@@ -8,6 +8,18 @@
 
 use crate::target_spread::TargetSpread;
 
+/// A deliberately broken runtime behavior a [`TargetSpread`] can carry.
+/// The harness arms at most one per run, so the builder keeps one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Canary {
+    /// Drop the staged writes of the last slice of every spilled piece.
+    DropLastSpillSlice,
+    /// Let the losing copy of every straggler rescue commit anyway.
+    RescueDoubleCommit,
+    /// Commit one staged sub-slice of every pipelined piece early.
+    OverlapLeak,
+}
+
 /// Injection hooks on [`TargetSpread`], importable only by spelling out
 /// `spread_core::testing::TargetSpreadTestingExt`.
 pub trait TargetSpreadTestingExt {
@@ -31,18 +43,15 @@ pub trait TargetSpreadTestingExt {
 }
 
 impl TargetSpreadTestingExt for TargetSpread {
-    fn inject_drop_last_spill_slice(mut self) -> Self {
-        self.set_drop_last_spill_slice();
-        self
+    fn inject_drop_last_spill_slice(self) -> Self {
+        self.arm(Canary::DropLastSpillSlice)
     }
 
-    fn inject_rescue_double_commit(mut self) -> Self {
-        self.set_force_rescue_double_commit();
-        self
+    fn inject_rescue_double_commit(self) -> Self {
+        self.arm(Canary::RescueDoubleCommit)
     }
 
-    fn inject_overlap_leak(mut self) -> Self {
-        self.set_force_overlap_leak();
-        self
+    fn inject_overlap_leak(self) -> Self {
+        self.arm(Canary::OverlapLeak)
     }
 }

@@ -1,5 +1,5 @@
 //! The `spread_overlap(…)` row/column of the clause-composition matrix
-//! (DESIGN.md §15), cell by cell: every reject fires `InvalidDirective`
+//! (DESIGN.md §14), cell by cell: every reject fires `InvalidDirective`
 //! at issue time, and every compose keeps whole-piece semantics —
 //! straggler rescues re-execute whole pieces, integrity digests verify
 //! whole pieces, resilience replays whole pieces — all bit-identical to
@@ -71,6 +71,9 @@ fn expect_invalid(res: Result<Vec<f64>, RtError>, needle: &str) {
 }
 
 // ---- Reject cells -------------------------------------------------------
+//
+// The composition-matrix test (`clause_matrix.rs`) sweeps every clause
+// pair; these cells pin the overlap rejects by name.
 
 #[test]
 fn overlap_rejects_dynamic_schedule() {

@@ -8,8 +8,8 @@
 //! move planes between devices, the centers stay bit-exact against the
 //! CPU reference throughout.
 
-use spread_core::ResiliencePolicy;
-use spread_somier::one_buffer::{run_spread_auto, run_spread_resilient};
+use spread_core::prelude::*;
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 
@@ -32,11 +32,17 @@ fn config(timesteps: usize, slow: bool) -> SomierConfig {
     cfg
 }
 
+/// `spread_schedule(auto)` with one profile key per kernel
+/// (`somier-forces`, …).
+fn auto_keys(t: TargetSpread, kernel: &'static str) -> TargetSpread {
+    t.with_schedule(SpreadSchedule::auto(format!("somier-{kernel}")))
+}
+
 #[test]
 fn auto_stays_bit_exact_on_the_heterogeneous_machine() {
     let cfg = config(3, true);
     let mut rt = cfg.runtime(N_GPUS);
-    let report = run_spread_auto(&mut rt, &cfg, N_GPUS).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, auto_keys).unwrap();
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(
         report.centers, reference.centers,
@@ -54,10 +60,9 @@ fn auto_beats_static_within_ten_timesteps() {
     // The static baseline: the identical construct-scoped program with
     // an equal split (FailStop on a fault-free machine is a no-op).
     let mut static_rt = cfg.runtime(N_GPUS);
-    let static_report =
-        run_spread_resilient(&mut static_rt, &cfg, N_GPUS, ResiliencePolicy::FailStop).unwrap();
+    let static_report = run_spread_scoped(&mut static_rt, &cfg, N_GPUS, |t, _| t).unwrap();
     let mut auto_rt = cfg.runtime(N_GPUS);
-    let auto_report = run_spread_auto(&mut auto_rt, &cfg, N_GPUS).unwrap();
+    let auto_report = run_spread_scoped(&mut auto_rt, &cfg, N_GPUS, auto_keys).unwrap();
     assert_eq!(
         auto_report.centers, static_report.centers,
         "both compute the same physics"
@@ -80,7 +85,7 @@ fn auto_beats_static_within_ten_timesteps() {
 fn auto_learns_to_shift_planes_off_the_slow_device() {
     let cfg = config(5, true);
     let mut rt = cfg.runtime(N_GPUS);
-    run_spread_auto(&mut rt, &cfg, N_GPUS).unwrap();
+    run_spread_scoped(&mut rt, &cfg, N_GPUS, auto_keys).unwrap();
     let profiles = rt.profiles();
     assert!(!profiles.is_empty(), "auto launches record profiles");
     // Every Somier kernel key ends up with less weight on the slow
@@ -119,12 +124,12 @@ fn auto_learns_to_shift_planes_off_the_slow_device() {
 fn auto_is_harmless_on_a_uniform_machine() {
     let cfg = config(3, false);
     let mut rt = cfg.runtime(N_GPUS);
-    let report = run_spread_auto(&mut rt, &cfg, N_GPUS).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, auto_keys).unwrap();
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers);
     // And deterministic: the same run gives the same virtual time.
     let mut rt2 = cfg.runtime(N_GPUS);
-    let report2 = run_spread_auto(&mut rt2, &cfg, N_GPUS).unwrap();
+    let report2 = run_spread_scoped(&mut rt2, &cfg, N_GPUS, auto_keys).unwrap();
     assert_eq!(report.elapsed, report2.elapsed);
     assert_eq!(report.centers, report2.centers);
 }

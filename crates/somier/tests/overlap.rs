@@ -6,8 +6,7 @@
 //! Everything is virtual time, so every number below is deterministic
 //! and the strict inequalities are stable regression anchors.
 
-use spread_core::ResiliencePolicy;
-use spread_somier::one_buffer::{run_spread_overlap, run_spread_resilient};
+use spread_somier::one_buffer::{run_spread_overlap, run_spread_scoped};
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{profile_window, DeviceProfile, SimTime};
@@ -44,8 +43,7 @@ fn pipelined_somier_overlaps_on_every_device_and_shrinks_the_tail() {
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
 
     let mut base_rt = cfg.runtime(N_GPUS);
-    let base = run_spread_resilient(&mut base_rt, &cfg, N_GPUS, ResiliencePolicy::FailStop)
-        .expect("baseline run");
+    let base = run_spread_scoped(&mut base_rt, &cfg, N_GPUS, |t, _| t).expect("baseline run");
     assert_eq!(base.centers, reference.centers);
     let base_profs = device_profiles(&base_rt);
 

@@ -7,11 +7,12 @@
 //! overhead — asserted here at 32×, exported as a sweep by
 //! `BENCH_straggler.json`.
 
-use spread_core::StragglerPolicy;
+use spread_core::{SpreadClausesExt, StragglerPolicy};
+use spread_rt::{RtError, Runtime};
 use spread_sim::FaultPlan;
-use spread_somier::one_buffer::run_spread_straggler;
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
-use spread_somier::SomierConfig;
+use spread_somier::{SomierConfig, SomierReport};
 use spread_trace::{SimTime, SpanKind};
 
 const N_GPUS: usize = 4;
@@ -21,10 +22,27 @@ fn cfg() -> SomierConfig {
     SomierConfig::test_small(20, 2)
 }
 
+/// The scoped One Buffer under `spread_straggler(policy)`.
+fn run_straggler(
+    rt: &mut Runtime,
+    cfg: &SomierConfig,
+    n_gpus: usize,
+    policy: StragglerPolicy,
+) -> Result<SomierReport, RtError> {
+    run_spread_scoped(rt, cfg, n_gpus, |t, _| {
+        // Somier constructs are transfer-heavy, so the first finisher's
+        // span (which sets the deadline) is mostly H2D time. The default
+        // β=4 would only catch extreme slowdowns; β=2 keeps the deadline
+        // sensitive to compute-side lag without tripping on the transfer
+        // jitter a static split actually exhibits.
+        t.with_straggler(policy).with_straggler_beta(2.0)
+    })
+}
+
 /// Virtual mid-point of a fault-free straggler-mode run.
 fn clean_midpoint(cfg: &SomierConfig) -> SimTime {
     let mut rt = cfg.runtime(N_GPUS);
-    run_spread_straggler(&mut rt, cfg, N_GPUS, StragglerPolicy::Wait).unwrap();
+    run_straggler(&mut rt, cfg, N_GPUS, StragglerPolicy::Wait).unwrap();
     SimTime::from_nanos(rt.elapsed().as_nanos() / 2)
 }
 
@@ -36,7 +54,7 @@ fn slow_plan(from: SimTime, factor: f64) -> FaultPlan {
 fn straggler_variant_matches_reference_without_faults() {
     let cfg = cfg();
     let mut rt = cfg.runtime(N_GPUS);
-    let report = run_spread_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Steal).unwrap();
+    let report = run_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Steal).unwrap();
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers, "centers bit-exact");
     assert_eq!(report.races, 0);
@@ -51,7 +69,7 @@ fn bit_identical_with_8x_slowdown_mid_run() {
     let cfg = cfg();
     let mid = clean_midpoint(&cfg);
     let mut rt = cfg.runtime_with_faults(N_GPUS, slow_plan(mid, 8.0));
-    let report = run_spread_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Steal).unwrap();
+    let report = run_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Steal).unwrap();
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(
         report.centers, reference.centers,
@@ -80,7 +98,7 @@ fn bit_identical_with_8x_slowdown_mid_run() {
 fn replicate_keeps_both_copies_and_stays_bit_identical() {
     let cfg = cfg();
     let mut rt = cfg.runtime_with_faults(N_GPUS, slow_plan(SimTime::ZERO, 8.0));
-    let report = run_spread_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Replicate).unwrap();
+    let report = run_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Replicate).unwrap();
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers);
     let rescues = rt.rescues();
@@ -95,7 +113,7 @@ fn replicate_keeps_both_copies_and_stays_bit_identical() {
 fn wait_policy_only_watches() {
     let cfg = cfg();
     let mut rt = cfg.runtime_with_faults(N_GPUS, slow_plan(SimTime::ZERO, 8.0));
-    let report = run_spread_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Wait).unwrap();
+    let report = run_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Wait).unwrap();
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers);
     assert!(rt.rescues().is_empty(), "wait never speculates");
@@ -110,7 +128,7 @@ fn steal_recovers_latency_at_heavy_slowdown() {
     let cfg = cfg();
     let elapsed = |policy| {
         let mut rt = cfg.runtime_with_faults(N_GPUS, slow_plan(SimTime::ZERO, 32.0));
-        run_spread_straggler(&mut rt, &cfg, N_GPUS, policy).unwrap();
+        run_straggler(&mut rt, &cfg, N_GPUS, policy).unwrap();
         rt.elapsed().as_nanos()
     };
     let wait = elapsed(StragglerPolicy::Wait);
@@ -135,7 +153,7 @@ fn rescue_is_deterministic() {
     let mid = clean_midpoint(&cfg);
     let run = || {
         let mut rt = cfg.runtime_with_faults(N_GPUS, slow_plan(mid, 8.0));
-        let report = run_spread_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Steal).unwrap();
+        let report = run_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Steal).unwrap();
         (
             report.centers,
             rt.elapsed().as_nanos(),
