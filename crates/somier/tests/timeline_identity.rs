@@ -5,10 +5,12 @@
 //! reorders, renumbers or retimes a single span changes the hash.
 //!
 //! The construct-scoped cases are one program under different clauses;
-//! on a fault-free machine five of them pin the *same* timeline.
+//! on a fault-free machine five of them pin the *same* timeline. Each
+//! case also pins the runtime's decision records (degradations,
+//! rescues, integrity events, peer copies, overlap records, profiles).
 
 use spread_core::prelude::*;
-use spread_rt::Runtime;
+use spread_rt::{DegradationKind, Runtime};
 use spread_sim::FaultPlan;
 use spread_somier::one_buffer::{run_spread_overlap, run_spread_peer, run_spread_scoped};
 use spread_somier::{run_somier, SomierConfig, SomierImpl};
@@ -56,6 +58,59 @@ fn timeline_hash(rt: &Runtime) -> (usize, u64) {
     (tl.len(), h.0)
 }
 
+/// `(record counts, FNV-1a hash)` of a finished runtime's decision
+/// records, in the order degradations, rescues, integrity events, peer
+/// copies, overlap records, profiles.
+fn ledger_hash(rt: &Runtime) -> ([usize; 6], u64) {
+    let degradations: Vec<_> = rt
+        .degradations()
+        .into_iter()
+        .filter(|e| {
+            e.kind != DegradationKind::StragglerRescued
+                && e.kind != DegradationKind::CorruptionHealed
+        })
+        .collect();
+    let ledgers = [
+        (degradations.len(), format!("{degradations:?}")),
+        (rt.rescues().len(), format!("{:?}", rt.rescues())),
+        (
+            rt.integrity_events().len(),
+            format!("{:?}", rt.integrity_events()),
+        ),
+        (rt.peer_copies().len(), format!("{:?}", rt.peer_copies())),
+        (
+            rt.overlap_records().len(),
+            format!("{:?}", rt.overlap_records()),
+        ),
+        (rt.profiles().len(), format!("{:?}", rt.profiles())),
+    ];
+    let mut h = Fnv::new();
+    for (_, v) in &ledgers {
+        h.str(v);
+    }
+    (ledgers.map(|(n, _)| n), h.0)
+}
+
+/// The decision kinds in recording order, run-length encoded.
+fn decision_order(rt: &Runtime) -> Vec<(&'static str, usize)> {
+    let mut runs: Vec<(&'static str, usize)> = Vec::new();
+    for e in rt.degradations() {
+        let kind = match e.kind {
+            DegradationKind::ChunkSplit => "split",
+            DegradationKind::StragglerRescued => "rescue",
+            _ => "other",
+        };
+        match runs.last_mut() {
+            Some((k, n)) if *k == kind => *n += 1,
+            _ => runs.push((kind, 1)),
+        }
+    }
+    runs
+}
+
+/// The ledger pin of every run that records no decision.
+const NO_DECISIONS: ([usize; 6], u64) = ([0; 6], 7_977_933_990_245_254_121);
+
 #[test]
 fn one_buffer_spread_timeline_is_pinned() {
     let cfg = SomierConfig::test_small(24, 2);
@@ -64,6 +119,11 @@ fn one_buffer_spread_timeline_is_pinned() {
         timeline_hash(&rt),
         (512, 16_040_439_699_539_468_344),
         "timeline of the traced One-Buffer spread run changed"
+    );
+    assert_eq!(
+        ledger_hash(&rt),
+        NO_DECISIONS,
+        "decision records of the One-Buffer spread run changed"
     );
 }
 
@@ -87,11 +147,13 @@ fn auto_keys(t: TargetSpread, kernel: &'static str) -> TargetSpread {
     t.with_schedule(SpreadSchedule::auto(format!("somier-{kernel}")))
 }
 
-/// One pinned variant: how to run it, and the timeline it must give.
+/// One pinned variant: how to run it, and the timeline and decision
+/// records it must give.
 struct Case {
     name: &'static str,
     run: fn() -> Runtime,
     pin: (usize, u64),
+    ledger: ([usize; 6], u64),
 }
 
 /// The construct-scoped fault-free timeline every clause below shares.
@@ -109,6 +171,7 @@ const CASES: &[Case] = &[
             rt
         },
         pin: FAULT_FREE,
+        ledger: NO_DECISIONS,
     },
     Case {
         name: "integrity(heal), fault-free",
@@ -121,6 +184,7 @@ const CASES: &[Case] = &[
             rt
         },
         pin: FAULT_FREE,
+        ledger: NO_DECISIONS,
     },
     Case {
         name: "straggler(steal), fault-free",
@@ -134,6 +198,7 @@ const CASES: &[Case] = &[
             rt
         },
         pin: FAULT_FREE,
+        ledger: NO_DECISIONS,
     },
     Case {
         name: "schedule(auto), fault-free",
@@ -143,6 +208,7 @@ const CASES: &[Case] = &[
             rt
         },
         pin: FAULT_FREE,
+        ledger: ([0, 0, 0, 0, 0, 20], 14_611_344_156_971_409_448),
     },
     Case {
         name: "pressure(split), fault-free",
@@ -155,6 +221,7 @@ const CASES: &[Case] = &[
             rt
         },
         pin: FAULT_FREE,
+        ledger: NO_DECISIONS,
     },
     Case {
         name: "overlap(4), fault-free",
@@ -164,6 +231,7 @@ const CASES: &[Case] = &[
             rt
         },
         pin: (1634, 4_806_999_551_840_065_209),
+        ledger: ([0, 0, 0, 0, 80, 0], 13_179_592_634_446_231_106),
     },
     Case {
         name: "peer exchange(auto), fail-stop",
@@ -180,6 +248,7 @@ const CASES: &[Case] = &[
             rt
         },
         pin: (644, 6_674_863_426_019_266_240),
+        ledger: ([0, 0, 0, 72, 0, 0], 10_581_027_831_611_060_352),
     },
     Case {
         name: "redistribute, device 1 lost at the midpoint",
@@ -194,6 +263,7 @@ const CASES: &[Case] = &[
             rt
         },
         pin: (667, 12_803_455_209_363_725_948),
+        ledger: NO_DECISIONS,
     },
     Case {
         name: "heal, single flips on devices 0, 1 and 3",
@@ -211,6 +281,7 @@ const CASES: &[Case] = &[
             rt
         },
         pin: (686, 10_091_997_090_196_732_768),
+        ledger: ([0, 0, 3, 0, 0, 0], 6_135_599_477_503_762_958),
     },
     Case {
         name: "steal, device 1 8x slow from the midpoint",
@@ -226,6 +297,7 @@ const CASES: &[Case] = &[
             rt
         },
         pin: (704, 7_810_202_737_842_293_475),
+        ledger: ([0, 6, 0, 0, 0, 0], 14_268_657_488_614_994_811),
     },
     Case {
         name: "split at 60% memory under sustained pressure",
@@ -242,6 +314,7 @@ const CASES: &[Case] = &[
             rt
         },
         pin: (728, 5_108_169_837_801_950_254),
+        ledger: ([16, 0, 0, 0, 0, 0], 1_457_672_930_346_312_294),
     },
     Case {
         name: "auto on 2 GPUs, device 0 3x slow",
@@ -252,8 +325,36 @@ const CASES: &[Case] = &[
             rt
         },
         pin: (984, 11_723_426_381_093_176_000),
+        ledger: ([0, 0, 0, 0, 0, 60], 13_824_042_404_454_069_656),
+    },
+    Case {
+        name: COMPOSED,
+        run: composed,
+        pin: (848, 9_980_465_456_449_125_992),
+        ledger: ([16, 15, 0, 0, 0, 0], 15_395_820_307_958_361_927),
     },
 ];
+
+const COMPOSED: &str = "split at 60% + steal, device 1 8x slow from the midpoint";
+
+/// Split and steal together: `heal` rejects both, so this is the
+/// composition whose decisions interleave.
+fn composed() -> Runtime {
+    let cfg = cfg().with_mem_cap_frac(0.6);
+    let plan = (0..N_GPUS as u32)
+        .fold(FaultPlan::new(0xC0), |p, d| {
+            p.sustain_pressure(d, SimTime::ZERO, 20_000)
+        })
+        .slow_compute(1, clean_midpoint(), SimTime::MAX, 8.0);
+    let mut rt = cfg.runtime_with_faults(N_GPUS, plan);
+    run_spread_scoped(&mut rt, &cfg, N_GPUS, |t, _| {
+        t.with_pressure(PressurePolicy::Split)
+            .with_straggler(StragglerPolicy::Steal)
+            .with_straggler_beta(2.0)
+    })
+    .unwrap();
+    rt
+}
 
 #[test]
 fn construct_scoped_variant_timelines_are_pinned() {
@@ -267,6 +368,33 @@ fn construct_scoped_variant_timelines_are_pinned() {
     assert!(
         changed.is_empty(),
         "timelines changed:\n{}",
+        changed.join("\n")
+    );
+}
+
+#[test]
+fn construct_scoped_variant_decisions_are_pinned() {
+    let mut changed = Vec::new();
+    for case in CASES {
+        let rt = (case.run)();
+        let got = ledger_hash(&rt);
+        if got != case.ledger {
+            changed.push(format!(
+                "{}: got {got:?}, pinned {:?}",
+                case.name, case.ledger
+            ));
+        }
+        if case.name == COMPOSED {
+            assert_eq!(
+                decision_order(&rt),
+                [("split", 8), ("rescue", 5), ("split", 8), ("rescue", 10)],
+                "{COMPOSED}: decision order changed"
+            );
+        }
+    }
+    assert!(
+        changed.is_empty(),
+        "decision records changed:\n{}",
         changed.join("\n")
     );
 }
