@@ -55,7 +55,7 @@ fn main() {
 
     let static_s = static_report.elapsed.as_secs_f64();
     let auto_s = auto_report.elapsed.as_secs_f64();
-    let profiles = auto_rt.profiles();
+    let profiles = auto_rt.events::<spread_trace::ConstructProfile>();
 
     let mut report = Report::new(
         "somier-heterogeneous-adaptive",

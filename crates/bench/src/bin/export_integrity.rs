@@ -73,7 +73,7 @@ fn main() {
                 "integrity must not change the physics ({mode:?} @ n={n})"
             );
             let healed = rt
-                .integrity_events()
+                .events::<spread_rt::IntegrityEvent>()
                 .iter()
                 .filter(|e| e.action == IntegrityAction::Healed)
                 .count();

@@ -62,7 +62,7 @@ fn main() {
         "the One-Buffer baseline must match the CPU reference"
     );
     assert!(
-        base_rt.overlap_records().is_empty(),
+        base_rt.events::<spread_rt::OverlapRecord>().is_empty(),
         "the baseline must not engage the pipeline"
     );
     let base_s = base.elapsed.as_secs_f64();
@@ -95,7 +95,7 @@ fn main() {
             rep.centers, reference.centers,
             "pipelining must not change the physics (depth {depth})"
         );
-        let recs = rt.overlap_records();
+        let recs = rt.events::<spread_rt::OverlapRecord>();
         assert!(!recs.is_empty(), "depth {depth} must engage the pipeline");
         assert!(
             recs.iter()

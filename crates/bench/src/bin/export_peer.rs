@@ -48,7 +48,7 @@ fn main() {
         "the peer route must not change the physics"
     );
 
-    let records = auto_rt.peer_copies();
+    let records = auto_rt.events::<spread_rt::PeerCopyRecord>();
     assert!(!records.is_empty(), "auto must route halos D2D");
     assert!(records.iter().all(|r| !r.diverted));
     let peer_bytes: u64 = records.iter().map(|r| r.bytes).sum();

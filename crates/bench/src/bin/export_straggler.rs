@@ -50,7 +50,7 @@ fn main() {
             report.centers, reference.centers,
             "rescue must not change the physics ({policy:?} @ {factor}x)"
         );
-        let rescues = rt.rescues();
+        let rescues = rt.events::<spread_rt::RescueRecord>();
         assert!(
             rescues.iter().all(|r| r.commits == 1),
             "first-commit-wins: exactly one commit per rescued piece"

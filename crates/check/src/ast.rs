@@ -428,7 +428,7 @@ pub enum Stmt {
         exit_from: bool,
     },
     /// A peer-mode halo-exchange region over one array (see
-    /// [`crate::CheckConfig::peer`]): enter-spread `to` of halo'd
+    /// [`crate::Mode::Peer`]): enter-spread `to` of halo'd
     /// chunks `[start−1, end+1)∩[0, n)` (one chunk per device, so the
     /// overlapping halos land on *sibling* presence tables), an
     /// optional in-place body bump on the device images (reuse path —

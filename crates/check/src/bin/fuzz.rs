@@ -39,36 +39,21 @@
 
 use std::process::ExitCode;
 
-use spread_check::{fuzz, pretty, CheckConfig, Fault};
+use spread_check::{fuzz, pretty, CheckConfig, Fault, Mode};
 
 struct Args {
     programs: usize,
-    interleavings: usize,
     seed: u64,
-    fault: Option<Fault>,
-    faults: bool,
-    pressure: bool,
-    auto: bool,
-    peer: bool,
-    stragglers: bool,
-    integrity: bool,
-    overlap: bool,
+    cfg: CheckConfig,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         programs: 200,
-        interleavings: 4,
         seed: 1,
-        fault: None,
-        faults: false,
-        pressure: false,
-        auto: false,
-        peer: false,
-        stragglers: false,
-        integrity: false,
-        overlap: false,
+        cfg: CheckConfig::default(),
     };
+    let mut modes = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
@@ -79,7 +64,7 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--programs: {e}"))?
             }
             "--interleavings" => {
-                args.interleavings = value("--interleavings")?
+                args.cfg.interleavings = value("--interleavings")?
                     .parse()
                     .map_err(|e| format!("--interleavings: {e}"))?
             }
@@ -90,33 +75,16 @@ fn parse_args() -> Result<Args, String> {
             }
             "--inject" => {
                 let f = value("--inject")?;
-                args.fault = Some(Fault::parse(&f).ok_or_else(|| format!("unknown fault `{f}`"))?);
+                args.cfg.fault =
+                    Some(Fault::parse(&f).ok_or_else(|| format!("unknown fault `{f}`"))?);
             }
-            "--faults" => args.faults = true,
-            "--pressure" => args.pressure = true,
-            "--auto" => args.auto = true,
-            "--peer" => args.peer = true,
-            "--stragglers" => args.stragglers = true,
-            "--integrity" => args.integrity = true,
-            "--overlap" => args.overlap = true,
-            other => return Err(format!("unknown flag `{other}`")),
+            other => match Mode::from_flag(other) {
+                Some(mode) => modes.push(mode),
+                None => return Err(format!("unknown flag `{other}`")),
+            },
         }
     }
-    if (args.faults as u8)
-        + (args.pressure as u8)
-        + (args.auto as u8)
-        + (args.peer as u8)
-        + (args.stragglers as u8)
-        + (args.integrity as u8)
-        + (args.overlap as u8)
-        > 1
-    {
-        return Err(
-            "--faults, --pressure, --auto, --peer, --stragglers, --integrity and --overlap \
-             are mutually exclusive"
-                .into(),
-        );
-    }
+    args.cfg.mode = Mode::exclusive(&modes)?;
     Ok(args)
 }
 
@@ -133,53 +101,14 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cfg = CheckConfig {
-        interleavings: args.interleavings,
-        fault: args.fault,
-        faults: args.faults,
-        pressure: args.pressure,
-        auto: args.auto,
-        peer: args.peer,
-        stragglers: args.stragglers,
-        integrity: args.integrity,
-        overlap: args.overlap,
-    };
+    let cfg = args.cfg;
+    let mode = cfg.mode.flag();
     println!(
-        "spread-check fuzz: {} program(s) x {} interleaving(s), seed {}{}{}{}{}{}{}{}{}",
+        "spread-check fuzz: {} program(s) x {} interleaving(s), seed {}{}{}",
         args.programs,
         cfg.interleavings,
         args.seed,
-        if cfg.faults { ", with fault plans" } else { "" },
-        if cfg.pressure {
-            ", with memory-pressure scenarios"
-        } else {
-            ""
-        },
-        if cfg.auto {
-            ", with adaptive (auto) schedules"
-        } else {
-            ""
-        },
-        if cfg.peer {
-            ", with differential peer exchanges"
-        } else {
-            ""
-        },
-        if cfg.stragglers {
-            ", with straggler rescues"
-        } else {
-            ""
-        },
-        if cfg.integrity {
-            ", with silent-corruption healing"
-        } else {
-            ""
-        },
-        if cfg.overlap {
-            ", with pipelined transfer/compute overlap"
-        } else {
-            ""
-        },
+        mode.map_or(String::new(), |(_, what)| format!(", {what}")),
         match cfg.fault {
             Some(f) => format!(", injected fault {f:?}"),
             None => String::new(),
@@ -202,26 +131,11 @@ fn main() -> ExitCode {
         println!("\nFAIL seed {}: {}", f.seed, f.failure);
         println!("{}", pretty::listing(&spread_check::gen_for(f.seed, &cfg)));
         println!(
-            "reproduce: cargo run -p spread-check --bin replay -- {}{}{}{}{}{}{}{}{}",
+            "reproduce: cargo run -p spread-check --bin replay -- {}{}{}",
             f.seed,
-            if cfg.faults { " --faults" } else { "" },
-            if cfg.pressure { " --pressure" } else { "" },
-            if cfg.auto { " --auto" } else { "" },
-            if cfg.peer { " --peer" } else { "" },
-            if cfg.stragglers { " --stragglers" } else { "" },
-            if cfg.integrity { " --integrity" } else { "" },
-            if cfg.overlap { " --overlap" } else { "" },
-            match cfg.fault {
-                Some(Fault::StencilDropsLeftHalo) => " --inject stencil",
-                Some(Fault::ReduceSkipsLast) => " --inject reduce",
-                Some(Fault::RecoveryDropsLostChunk) => " --inject recovery",
-                Some(Fault::SpillDropsSlice) => " --inject spill",
-                Some(Fault::PeerCorrupt) => " --inject peer",
-                Some(Fault::RescueDoubleCommit) => " --inject rescue",
-                Some(Fault::IntegrityCorrupt) => " --inject integrity",
-                Some(Fault::OverlapLeak) => " --inject overlap",
-                None => "",
-            }
+            mode.map_or(String::new(), |(flag, _)| format!(" {flag}")),
+            cfg.fault
+                .map_or(String::new(), |f| format!(" --inject {}", f.name()))
         );
     }
     println!(

@@ -13,11 +13,12 @@
 
 use std::process::ExitCode;
 
-use spread_check::{check_seed, pretty, shrink_seed, CheckConfig, Fault};
+use spread_check::{check_seed, pretty, shrink_seed, CheckConfig, Fault, Mode};
 
 fn parse_args() -> Result<(u64, CheckConfig), String> {
     let mut seed = None;
     let mut cfg = CheckConfig::default();
+    let mut modes = Vec::new();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -32,34 +33,16 @@ fn parse_args() -> Result<(u64, CheckConfig), String> {
                 let f = it.next().ok_or("--inject needs a value")?;
                 cfg.fault = Some(Fault::parse(&f).ok_or_else(|| format!("unknown fault `{f}`"))?);
             }
-            "--faults" => cfg.faults = true,
-            "--pressure" => cfg.pressure = true,
-            "--auto" => cfg.auto = true,
-            "--peer" => cfg.peer = true,
-            "--stragglers" => cfg.stragglers = true,
-            "--integrity" => cfg.integrity = true,
-            "--overlap" => cfg.overlap = true,
             s if seed.is_none() && !s.starts_with('-') => {
                 seed = Some(s.parse().map_err(|e| format!("seed: {e}"))?)
             }
-            other => return Err(format!("unknown argument `{other}`")),
+            other => match Mode::from_flag(other) {
+                Some(mode) => modes.push(mode),
+                None => return Err(format!("unknown argument `{other}`")),
+            },
         }
     }
-    if (cfg.faults as u8)
-        + (cfg.pressure as u8)
-        + (cfg.auto as u8)
-        + (cfg.peer as u8)
-        + (cfg.stragglers as u8)
-        + (cfg.integrity as u8)
-        + (cfg.overlap as u8)
-        > 1
-    {
-        return Err(
-            "--faults, --pressure, --auto, --peer, --stragglers, --integrity and --overlap \
-             are mutually exclusive"
-                .into(),
-        );
-    }
+    cfg.mode = Mode::exclusive(&modes)?;
     Ok((seed.ok_or("missing <seed>")?, cfg))
 }
 

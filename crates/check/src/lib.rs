@@ -31,21 +31,21 @@
 //! host arrays, reduction values and mapping tables bit-for-bit, with
 //! zero race reports.
 //!
-//! Pressure mode ([`CheckConfig::pressure`]) swaps the fault plans for
+//! Pressure mode ([`Mode::Pressure`]) swaps the fault plans for
 //! seeded memory-pressure scenarios — tiny device capacities plus
 //! sustained OOM windows — and additionally requires the runtime's
 //! recorded [`spread_rt::DegradationEvent`] sequence (admission
 //! shrinks, chunk splits, host spills) to equal the oracle's exact
 //! prediction, while results stay bit-identical.
 //!
-//! Auto mode ([`CheckConfig::auto`]) generates `spread_schedule(auto)`
+//! Auto mode ([`Mode::Auto`]) generates `spread_schedule(auto)`
 //! programs — blocking, placement-independent kernels with repeated
 //! construct keys — and checks the final state against an equal-weight
 //! oracle stand-in while requiring every realized adaptive split
 //! (recorded as a [`spread_trace::ConstructProfile`]) to be a valid
 //! `StaticWeighted` plan.
 //!
-//! Peer mode ([`CheckConfig::peer`]) generates halo-exchange programs
+//! Peer mode ([`Mode::Peer`]) generates halo-exchange programs
 //! ([`ast::Stmt::Halo`]) and checks them *differentially*: every
 //! interleaving first runs with the exchange forced through the host
 //! (the paper's round-trip — it must match the oracle and perform zero
@@ -55,7 +55,7 @@
 //! from the generator's halo invariants — no diverted copy, none
 //! missing, none extra.
 //!
-//! Integrity mode ([`CheckConfig::integrity`]) generates
+//! Integrity mode ([`Mode::Integrity`]) generates
 //! `spread_integrity(heal)` programs with seeded silent-flip bursts
 //! armed from time zero ([`ast::IntegritySpec`]): results must match
 //! the flip-blind oracle bit-for-bit while the runtime's recorded
@@ -63,7 +63,7 @@
 //! ledger — exactly `count` healed commits per flipped device that
 //! performs a committing drain.
 //!
-//! Overlap mode ([`CheckConfig::overlap`]) generates
+//! Overlap mode ([`Mode::Overlap`]) generates
 //! `spread_overlap(depth)` programs ([`ast::OverlapSpec`]): the
 //! pipeline is a pure latency optimization, so the oracle stays
 //! overlap-blind and results must match the un-pipelined prediction
@@ -89,7 +89,11 @@ pub mod shrink;
 pub use ast::Program;
 pub use spread_sim::TieBreak;
 
-use spread_rt::RtError;
+use spread_rt::{
+    DegradationEvent, Event, IntegrityEvent, JournalRecord, OverlapRecord, PeerCopyRecord,
+    RescueRecord, RtError,
+};
+use spread_trace::ConstructProfile;
 
 /// A deliberate perturbation injected into one side of the comparison,
 /// used to prove the harness catches disagreements (and to exercise
@@ -138,18 +142,156 @@ pub enum Fault {
 }
 
 impl Fault {
+    /// Every fault with its `--inject` name.
+    const NAMES: [(Fault, &'static str); 8] = [
+        (Fault::StencilDropsLeftHalo, "stencil"),
+        (Fault::ReduceSkipsLast, "reduce"),
+        (Fault::RecoveryDropsLostChunk, "recovery"),
+        (Fault::SpillDropsSlice, "spill"),
+        (Fault::PeerCorrupt, "peer"),
+        (Fault::RescueDoubleCommit, "rescue"),
+        (Fault::IntegrityCorrupt, "integrity"),
+        (Fault::OverlapLeak, "overlap"),
+    ];
+
     /// Parse a `--inject` argument.
     pub fn parse(s: &str) -> Option<Fault> {
-        match s {
-            "stencil" => Some(Fault::StencilDropsLeftHalo),
-            "reduce" => Some(Fault::ReduceSkipsLast),
-            "recovery" => Some(Fault::RecoveryDropsLostChunk),
-            "spill" => Some(Fault::SpillDropsSlice),
-            "peer" => Some(Fault::PeerCorrupt),
-            "rescue" => Some(Fault::RescueDoubleCommit),
-            "integrity" => Some(Fault::IntegrityCorrupt),
-            "overlap" => Some(Fault::OverlapLeak),
-            _ => None,
+        Self::NAMES.iter().find(|(_, n)| *n == s).map(|&(f, _)| f)
+    }
+
+    /// The `--inject` argument naming this fault.
+    pub fn name(self) -> &'static str {
+        Self::NAMES
+            .iter()
+            .find(|(f, _)| *f == self)
+            .map(|&(_, n)| n)
+            .expect("every fault is named")
+    }
+}
+
+/// Which programs a check generates, and what it verifies beyond the
+/// oracle's final state. The modes are mutually exclusive.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Mode {
+    /// Plain programs: data regions, halos, reductions, `nowait`, raw
+    /// and illegal directives.
+    #[default]
+    Plain,
+    /// Programs with seeded fault plans (device loss at time zero,
+    /// retry-absorbable transient bursts) — see [`ast::FaultSpec`].
+    Faults,
+    /// Memory-pressure programs (spread-only, blocking, static
+    /// distributions) with seeded [`ast::PressureSpec`]s: tiny device
+    /// capacities plus sustained OOM windows. The oracle then predicts
+    /// the exact degradation-event sequence (admission shrinks, chunk
+    /// splits, host spills) or the exact `Degraded` error, alongside
+    /// bit-identical results.
+    Pressure,
+    /// `spread_schedule(auto)` programs: spread-only blocking
+    /// constructs over placement-independent kernels with repeated
+    /// construct keys, so the runtime's profile-guided adaptation
+    /// actually kicks in across launches. The oracle predicts the final
+    /// state from an equal-weight stand-in split (valid because the
+    /// kernels are placement-independent), and every journaled
+    /// [`spread_trace::ConstructProfile`] must be a valid
+    /// `StaticWeighted` plan.
+    Auto,
+    /// Halo-exchange programs ([`ast::Stmt::Halo`]) checked
+    /// differentially: host-forced runs (which must match the oracle
+    /// with zero peer copies) against one `exchange(auto)` run that
+    /// must match the same oracle bits while performing exactly the
+    /// closed-form D2D route set ([`oracle::predict_peer_copies`]),
+    /// with no diverted copy.
+    Peer,
+    /// Straggler programs ([`ast::StragglerSpec`]): blocking
+    /// spread-only statements under `spread_straggler(steal|replicate)`
+    /// with one device's compute slowed 10–16× from time zero. The
+    /// oracle's prediction is the *fault-free* one — slowdowns stretch
+    /// durations only, and rescues are first-commit-wins
+    /// value-invisible — so results must stay bit-identical while every
+    /// journaled [`spread_rt::RescueRecord`] is structurally sound
+    /// (exactly one commit, healthy in-range target, never rescuing
+    /// onto the straggler itself).
+    Stragglers,
+    /// Integrity programs ([`ast::IntegritySpec`]): blocking
+    /// spread-only statements under `spread_integrity(heal)` with
+    /// seeded silent-flip bursts armed from time zero (counts far below
+    /// the mismatch breaker, so healing never escalates to quarantine).
+    /// The oracle's prediction is the *flip-blind* fault-free one
+    /// (`S-Flip`/`S-Heal`: detect→discard→redo rounds are
+    /// value-invisible), so results must stay bit-identical while the
+    /// journaled [`spread_rt::IntegrityEvent`]s match the closed-form
+    /// expectation — exactly `count` healed commits per flipped device
+    /// that drains at all.
+    Integrity,
+    /// Pipelined-overlap programs ([`ast::OverlapSpec`]): blocking
+    /// spread-only statements under `spread_overlap(depth)` with
+    /// `2 ≤ depth ≤ 4`. The pipeline is a pure latency optimization, so
+    /// the oracle stays *overlap-blind*: results must match the
+    /// un-pipelined prediction bit-for-bit while the journaled
+    /// [`spread_rt::OverlapRecord`]s match the closed-form piece count
+    /// (one per multi-iteration chunk of the static distribution) with
+    /// `staged == committed` on every record and nothing leaked before
+    /// the whole-piece commit point.
+    Overlap,
+}
+
+impl Mode {
+    /// Every mode but [`Mode::Plain`], with its command-line flag and
+    /// the fuzzer header's description of it.
+    pub const FLAGS: [(Mode, &'static str, &'static str); 7] = [
+        (Mode::Faults, "--faults", "with fault plans"),
+        (
+            Mode::Pressure,
+            "--pressure",
+            "with memory-pressure scenarios",
+        ),
+        (Mode::Auto, "--auto", "with adaptive (auto) schedules"),
+        (Mode::Peer, "--peer", "with differential peer exchanges"),
+        (Mode::Stragglers, "--stragglers", "with straggler rescues"),
+        (
+            Mode::Integrity,
+            "--integrity",
+            "with silent-corruption healing",
+        ),
+        (
+            Mode::Overlap,
+            "--overlap",
+            "with pipelined transfer/compute overlap",
+        ),
+    ];
+
+    /// The mode a command-line flag selects.
+    pub fn from_flag(flag: &str) -> Option<Mode> {
+        Self::FLAGS
+            .iter()
+            .find(|(_, f, _)| *f == flag)
+            .map(|&(m, _, _)| m)
+    }
+
+    /// This mode's flag and header description (`None` for
+    /// [`Mode::Plain`]).
+    pub fn flag(self) -> Option<(&'static str, &'static str)> {
+        Self::FLAGS
+            .iter()
+            .find(|(m, _, _)| *m == self)
+            .map(|&(_, f, d)| (f, d))
+    }
+
+    /// The one mode the flags given on a command line select: plain
+    /// when none, an error when two different ones.
+    pub fn exclusive(given: &[Mode]) -> Result<Mode, String> {
+        match given {
+            [] => Ok(Mode::Plain),
+            [m, rest @ ..] if rest.iter().all(|r| r == m) => Ok(*m),
+            _ => {
+                let flags: Vec<&str> = Self::FLAGS.iter().map(|&(_, f, _)| f).collect();
+                let (last, init) = flags.split_last().expect("FLAGS is not empty");
+                Err(format!(
+                    "{} and {last} are mutually exclusive",
+                    init.join(", ")
+                ))
+            }
         }
     }
 }
@@ -162,69 +304,8 @@ pub struct CheckConfig {
     pub interleavings: usize,
     /// Optional oracle perturbation.
     pub fault: Option<Fault>,
-    /// Generate programs with seeded fault plans (device loss at time
-    /// zero, retry-absorbable transient bursts) — see
-    /// [`ast::FaultSpec`].
-    pub faults: bool,
-    /// Generate memory-pressure programs (spread-only, blocking, static
-    /// distributions) with seeded [`ast::PressureSpec`]s: tiny device
-    /// capacities plus sustained OOM windows. The oracle then predicts
-    /// the exact degradation-event sequence (admission shrinks, chunk
-    /// splits, host spills) or the exact `Degraded` error, alongside
-    /// bit-identical results. Mutually exclusive with `faults`.
-    pub pressure: bool,
-    /// Generate `spread_schedule(auto)` programs: spread-only blocking
-    /// constructs over placement-independent kernels with repeated
-    /// construct keys, so the runtime's profile-guided adaptation
-    /// actually kicks in across launches. The oracle predicts the final
-    /// state from an equal-weight stand-in split (valid because the
-    /// kernels are placement-independent), and [`run::Observed`]
-    /// additionally carries the realized per-launch
-    /// [`spread_trace::ConstructProfile`]s, which must form valid
-    /// `StaticWeighted` plans. Mutually exclusive with `faults` and
-    /// `pressure`.
-    pub auto: bool,
-    /// Generate halo-exchange programs ([`ast::Stmt::Halo`]) and check
-    /// them differentially: host-forced runs (which must match the
-    /// oracle with zero peer copies) against one `exchange(auto)` run
-    /// that must match the same oracle bits while performing exactly
-    /// the closed-form D2D route set
-    /// ([`oracle::predict_peer_copies`]), with no diverted copy.
-    /// Mutually exclusive with `faults`, `pressure` and `auto`.
-    pub peer: bool,
-    /// Generate straggler programs ([`ast::StragglerSpec`]): blocking
-    /// spread-only statements under `spread_straggler(steal|replicate)`
-    /// with one device's compute slowed 10–16× from time zero. The
-    /// oracle's prediction is the *fault-free* one — slowdowns stretch
-    /// durations only, and rescues are first-commit-wins
-    /// value-invisible — so results must stay bit-identical while every
-    /// recorded [`spread_rt::RescueRecord`] is structurally sound
-    /// (exactly one commit, healthy in-range target, never rescuing
-    /// onto the straggler itself). Mutually exclusive with `faults`,
-    /// `pressure`, `auto` and `peer`.
-    pub stragglers: bool,
-    /// Generate integrity programs ([`ast::IntegritySpec`]): blocking
-    /// spread-only statements under `spread_integrity(heal)` with
-    /// seeded silent-flip bursts armed from time zero (counts far below
-    /// the mismatch breaker, so healing never escalates to quarantine).
-    /// The oracle's prediction is the *flip-blind* fault-free one
-    /// (`S-Flip`/`S-Heal`: detect→discard→redo rounds are
-    /// value-invisible), so results must stay bit-identical while the
-    /// recorded [`spread_rt::IntegrityEvent`]s match the closed-form
-    /// expectation — exactly `count` healed commits per flipped device
-    /// that drains at all. Mutually exclusive with every other mode.
-    pub integrity: bool,
-    /// Generate pipelined-overlap programs ([`ast::OverlapSpec`]):
-    /// blocking spread-only statements under `spread_overlap(depth)`
-    /// with `2 ≤ depth ≤ 4`. The pipeline is a pure latency
-    /// optimization, so the oracle stays *overlap-blind*: results must
-    /// match the un-pipelined prediction bit-for-bit while the recorded
-    /// [`spread_rt::OverlapRecord`]s match the closed-form piece count
-    /// (one per multi-iteration chunk of the static distribution) with
-    /// `staged == committed` on every record and nothing leaked before
-    /// the whole-piece commit point. Mutually exclusive with every
-    /// other mode.
-    pub overlap: bool,
+    /// Which programs to generate and what to verify.
+    pub mode: Mode,
 }
 
 impl Default for CheckConfig {
@@ -232,13 +313,7 @@ impl Default for CheckConfig {
         CheckConfig {
             interleavings: 4,
             fault: None,
-            faults: false,
-            pressure: false,
-            auto: false,
-            peer: false,
-            stragglers: false,
-            integrity: false,
-            overlap: false,
+            mode: Mode::Plain,
         }
     }
 }
@@ -314,17 +389,10 @@ fn compare(want: &oracle::Expectation, got: &run::Observed) -> Option<String> {
             got.races
         ));
     }
-    // Straggler rescues and healed corruptions are timing-dependent
-    // runtime events the oracle never predicts (slowdowns and heal
-    // redos are value-invisible); they are checked structurally in
-    // `check_program` instead.
-    let got_degradations: Vec<_> = got
-        .degradations
+    let got_degradations: Vec<DegradationEvent> = got
+        .journal
         .iter()
-        .filter(|e| {
-            e.kind != spread_rt::DegradationKind::StragglerRescued
-                && e.kind != spread_rt::DegradationKind::CorruptionHealed
-        })
+        .filter_map(DegradationEvent::of)
         .cloned()
         .collect();
     if want.degradations != got_degradations {
@@ -362,7 +430,7 @@ fn compare(want: &oracle::Expectation, got: &run::Observed) -> Option<String> {
     // spread_schedule(auto) programs: whatever split the runtime
     // realized must have been a *valid* StaticWeighted plan. (Empty for
     // every other program kind, so the checks are vacuous there.)
-    for prof in &got.profiles {
+    for prof in got.journal.iter().filter_map(ConstructProfile::of) {
         if prof.weights.len() != prof.devices.len() {
             return Some(format!(
                 "profile `{}` launch {}: {} weight(s) for {} device(s)",
@@ -389,6 +457,42 @@ fn compare(want: &oracle::Expectation, got: &run::Observed) -> Option<String> {
     None
 }
 
+/// Every journal event must be allowed by the program's mode: rescues
+/// need a straggler spec, integrity events an integrity spec, pipelined
+/// pieces an overlap spec, and the per-interleaving runs force every
+/// halo exchange through the host, so they perform no peer copy at all.
+/// Degradations and profiles are allowed anywhere — [`compare`] pins
+/// them against the oracle.
+fn check_journal(p: &Program, journal: &[Event]) -> Option<String> {
+    type Rule = (bool, fn(&Event) -> bool, fn(usize) -> String);
+    let rules: [Rule; 4] = [
+        (
+            p.straggler.is_some(),
+            |e| matches!(e, Event::Rescue(_)),
+            |n| format!("{n} rescue(s) recorded without a straggler spec"),
+        ),
+        (
+            p.integrity.is_some(),
+            |e| matches!(e, Event::Integrity(_)),
+            |n| format!("{n} integrity event(s) recorded without an integrity spec"),
+        ),
+        (
+            p.overlap.is_some(),
+            |e| matches!(e, Event::Overlap(_)),
+            |n| format!("{n} overlap record(s) without an overlap spec"),
+        ),
+        (
+            false,
+            |e| matches!(e, Event::PeerCopy(_)),
+            |n| format!("exchange(host) run performed {n} peer copies"),
+        ),
+    ];
+    rules.iter().find_map(|&(allowed, is, detail)| {
+        let n = journal.iter().filter(|e| is(e)).count();
+        (!allowed && n > 0).then(|| detail(n))
+    })
+}
+
 /// Structural soundness of the rescues a run performed: the bits are
 /// already pinned by [`compare`], so this checks the first-commit-wins
 /// bookkeeping — exactly one commit per rescued piece, a recorded
@@ -397,17 +501,8 @@ fn compare(want: &oracle::Expectation, got: &run::Observed) -> Option<String> {
 /// is several times longer than the first finisher's legitimately blows
 /// the relative deadline too, and such speculative duplicates must be
 /// just as value-invisible as rescues of genuinely slowed devices.
-/// Rescues outside straggler mode are themselves a violation.
 fn validate_rescues(p: &Program, got: &run::Observed) -> Option<String> {
-    if p.straggler.is_none() {
-        return (!got.rescues.is_empty()).then(|| {
-            format!(
-                "{} rescue(s) recorded without a straggler spec",
-                got.rescues.len()
-            )
-        });
-    }
-    for r in &got.rescues {
+    for r in got.journal.iter().filter_map(RescueRecord::of) {
         if r.commits != 1 {
             return Some(format!(
                 "rescued piece [{}..{}): {} commits (first-commit-wins demands exactly one)",
@@ -442,18 +537,13 @@ fn validate_rescues(p: &Program, got: &run::Observed) -> Option<String> {
 /// that receives at least one chunk of any spread statement records
 /// exactly `count` healed commits — and one that never drains records
 /// none. Failed/quarantined actions never appear (burst counts stay
-/// far below the mismatch breaker), and integrity events outside
-/// integrity mode are themselves a violation.
+/// far below the mismatch breaker).
 fn validate_integrity(p: &Program, got: &run::Observed) -> Option<String> {
     let Some(is) = &p.integrity else {
-        return (!got.integrity_events.is_empty()).then(|| {
-            format!(
-                "{} integrity event(s) recorded without an integrity spec",
-                got.integrity_events.len()
-            )
-        });
+        return None;
     };
-    if let Some(e) = got.integrity_events.iter().find(|e| {
+    let events = || got.journal.iter().filter_map(IntegrityEvent::of);
+    if let Some(e) = events().find(|e| {
         e.action != spread_rt::IntegrityAction::Healed
             || e.boundary != spread_rt::IntegrityBoundary::Commit
     }) {
@@ -491,7 +581,7 @@ fn validate_integrity(p: &Program, got: &run::Observed) -> Option<String> {
         .flat_map(|&(d, count)| std::iter::repeat_n(d, count as usize))
         .collect();
     want.sort_unstable();
-    let mut got_devs: Vec<u32> = got.integrity_events.iter().map(|e| e.device).collect();
+    let mut got_devs: Vec<u32> = events().map(|e| e.device).collect();
     got_devs.sort_unstable();
     if want != got_devs {
         return Some(format!(
@@ -510,18 +600,13 @@ fn validate_integrity(p: &Program, got: &run::Observed) -> Option<String> {
 /// per-piece stage count equals `min(depth, len)`, and the record count
 /// equals the closed-form piece count of the program's static
 /// distributions (pieces of a single iteration take the classic path
-/// and record nothing). Overlap records outside overlap mode are
-/// themselves a violation.
+/// and record nothing).
 fn validate_overlap(p: &Program, got: &run::Observed) -> Option<String> {
     let Some(os) = &p.overlap else {
-        return (!got.overlap.is_empty()).then(|| {
-            format!(
-                "{} overlap record(s) without an overlap spec",
-                got.overlap.len()
-            )
-        });
+        return None;
     };
-    for r in &got.overlap {
+    let pieces = || got.journal.iter().filter_map(OverlapRecord::of);
+    for r in pieces() {
         if r.leaked {
             return Some(format!(
                 "device {}: a staged sub-slice of piece [{}..{}) was committed before \
@@ -570,11 +655,11 @@ fn validate_overlap(p: &Program, got: &run::Observed) -> Option<String> {
                 .count();
         }
     }
-    if got.overlap.len() != want {
+    let recorded = pieces().count();
+    if recorded != want {
         return Some(format!(
             "overlap ledger: the static distributions predict {want} pipelined piece(s), \
-             runtime recorded {}",
-            got.overlap.len()
+             runtime recorded {recorded}"
         ));
     }
     None
@@ -582,7 +667,7 @@ fn validate_overlap(p: &Program, got: &run::Observed) -> Option<String> {
 
 /// Check one program under every tie-break policy for `seed`.
 ///
-/// Under [`CheckConfig::peer`] the check is differential: the per-tie
+/// Under [`Mode::Peer`] the check is differential: the per-tie
 /// runs force every halo exchange through the host (zero peer copies
 /// allowed), then one extra FIFO `exchange(auto)` run must reproduce
 /// the same oracle bits while performing exactly the predicted
@@ -591,31 +676,22 @@ pub fn check_program(p: &Program, seed: u64, cfg: &CheckConfig) -> Result<(), Ch
     let want = oracle::predict(p, cfg.fault);
     for tie in tie_breaks(seed, cfg.interleavings) {
         let got = run::execute(p, tie, cfg.fault);
-        if let Some(detail) = compare(&want, &got) {
+        let detail = compare(&want, &got)
+            .or_else(|| check_journal(p, &got.journal))
+            .or_else(|| {
+                // After a predicted error the records are unspecified.
+                if want.error.is_some() {
+                    return None;
+                }
+                validate_rescues(p, &got)
+                    .or_else(|| validate_integrity(p, &got))
+                    .or_else(|| validate_overlap(p, &got))
+            });
+        if let Some(detail) = detail {
             return Err(CheckFailure { tie, detail });
         }
-        if want.error.is_none() {
-            if let Some(detail) = validate_rescues(p, &got) {
-                return Err(CheckFailure { tie, detail });
-            }
-            if let Some(detail) = validate_integrity(p, &got) {
-                return Err(CheckFailure { tie, detail });
-            }
-            if let Some(detail) = validate_overlap(p, &got) {
-                return Err(CheckFailure { tie, detail });
-            }
-        }
-        if !got.peer_copies.is_empty() {
-            return Err(CheckFailure {
-                tie,
-                detail: format!(
-                    "exchange(host) run performed {} peer copies",
-                    got.peer_copies.len()
-                ),
-            });
-        }
     }
-    if cfg.peer {
+    if cfg.mode == Mode::Peer {
         let tie = TieBreak::Fifo;
         let got = run::execute_ex(p, tie, cfg.fault, spread_core::ExchangeMode::Auto);
         if let Some(detail) = compare(&want, &got) {
@@ -627,24 +703,32 @@ pub fn check_program(p: &Program, seed: u64, cfg: &CheckConfig) -> Result<(), Ch
         // The route set is only pinned down for a legal program — after
         // a predicted error, what ran before the poison is unspecified.
         if want.error.is_none() {
-            if let Some(r) = got.peer_copies.iter().find(|r| r.5) {
+            let copies = || got.journal.iter().filter_map(PeerCopyRecord::of);
+            if let Some(r) = copies().find(|r| r.diverted) {
+                let sec = r.section;
                 return Err(CheckFailure {
                     tie,
                     detail: format!(
                         "exchange(auto): peer copy {}→{} of A{}[{}..{}] diverted to the \
                          host on a fault-free program",
-                        r.0,
-                        r.1,
-                        r.2,
-                        r.3,
-                        r.3 + r.4
+                        r.src,
+                        r.dst,
+                        sec.array.0,
+                        sec.start,
+                        sec.start + sec.len
                     ),
                 });
             }
-            let mut routed: Vec<(u32, u32, u32, usize, usize)> = got
-                .peer_copies
-                .iter()
-                .map(|r| (r.0, r.1, r.2, r.3, r.4))
+            let mut routed: Vec<(u32, u32, u32, usize, usize)> = copies()
+                .map(|r| {
+                    (
+                        r.src,
+                        r.dst,
+                        r.section.array.0,
+                        r.section.start,
+                        r.section.len,
+                    )
+                })
                 .collect();
             routed.sort_unstable();
             let predicted = oracle::predict_peer_copies(p);
@@ -662,32 +746,21 @@ pub fn check_program(p: &Program, seed: u64, cfg: &CheckConfig) -> Result<(), Ch
     Ok(())
 }
 
-/// The program a configuration generates for `seed`: a pressure
-/// program under `cfg.pressure`, an adaptive-schedule program under
-/// `cfg.auto`, a halo-exchange program under `cfg.peer`, a straggler
-/// program under `cfg.stragglers`, an integrity program under
-/// `cfg.integrity`, a pipelined-overlap program under `cfg.overlap`, a
-/// faulted program under `cfg.faults`, a plain program otherwise.
+/// The program `cfg.mode` generates for `seed`.
 pub fn gen_for(seed: u64, cfg: &CheckConfig) -> Program {
-    if cfg.pressure {
-        gen::gen_program_pressure(seed)
-    } else if cfg.auto {
-        gen::gen_program_auto(seed)
-    } else if cfg.peer {
-        gen::gen_program_peer(seed)
-    } else if cfg.stragglers {
-        gen::gen_program_straggler(seed)
-    } else if cfg.integrity {
-        gen::gen_program_integrity(seed)
-    } else if cfg.overlap {
-        gen::gen_program_overlap(seed)
-    } else {
-        gen::gen_program_cfg(seed, cfg.faults)
+    match cfg.mode {
+        Mode::Plain => gen::gen_program_cfg(seed, false),
+        Mode::Faults => gen::gen_program_cfg(seed, true),
+        Mode::Pressure => gen::gen_program_pressure(seed),
+        Mode::Auto => gen::gen_program_auto(seed),
+        Mode::Peer => gen::gen_program_peer(seed),
+        Mode::Stragglers => gen::gen_program_straggler(seed),
+        Mode::Integrity => gen::gen_program_integrity(seed),
+        Mode::Overlap => gen::gen_program_overlap(seed),
     }
 }
 
-/// Generate and check the program for `seed` (with a fault plan when
-/// `cfg.faults` is set, or a pressure scenario when `cfg.pressure`).
+/// Generate and check the program for `seed` under `cfg.mode`.
 pub fn check_seed(seed: u64, cfg: &CheckConfig) -> Result<(), CheckFailure> {
     check_program(&gen_for(seed, cfg), seed, cfg)
 }
@@ -777,13 +850,35 @@ mod tests {
         assert_eq!(Fault::parse("integrity"), Some(Fault::IntegrityCorrupt));
         assert_eq!(Fault::parse("overlap"), Some(Fault::OverlapLeak));
         assert_eq!(Fault::parse("nope"), None);
+        for (fault, name) in Fault::NAMES {
+            assert_eq!(fault.name(), name);
+        }
+    }
+
+    #[test]
+    fn mode_flags_parse_and_exclude() {
+        for (mode, flag, _) in Mode::FLAGS {
+            assert_eq!(Mode::from_flag(flag), Some(mode));
+            assert_eq!(mode.flag().map(|(f, _)| f), Some(flag));
+        }
+        assert_eq!(Mode::Plain.flag(), None);
+        assert_eq!(Mode::exclusive(&[]), Ok(Mode::Plain));
+        assert_eq!(Mode::exclusive(&[Mode::Peer, Mode::Peer]), Ok(Mode::Peer));
+        assert_eq!(
+            Mode::exclusive(&[Mode::Faults, Mode::Peer]),
+            Err(
+                "--faults, --pressure, --auto, --peer, --stragglers, --integrity and --overlap \
+                 are mutually exclusive"
+                    .to_string()
+            )
+        );
     }
 
     #[test]
     fn a_faulted_seed_checks_clean() {
         let cfg = CheckConfig {
             interleavings: 2,
-            faults: true,
+            mode: Mode::Faults,
             ..CheckConfig::default()
         };
         check_seed(0, &cfg).unwrap();
@@ -793,7 +888,7 @@ mod tests {
     fn pressure_seeds_check_clean() {
         let cfg = CheckConfig {
             interleavings: 2,
-            pressure: true,
+            mode: Mode::Pressure,
             ..CheckConfig::default()
         };
         for seed in 0..8u64 {
@@ -807,7 +902,7 @@ mod tests {
     fn auto_seeds_check_clean() {
         let cfg = CheckConfig {
             interleavings: 2,
-            auto: true,
+            mode: Mode::Auto,
             ..CheckConfig::default()
         };
         for seed in 0..8u64 {
@@ -821,7 +916,7 @@ mod tests {
     fn straggler_seeds_check_clean_and_some_rescue() {
         let cfg = CheckConfig {
             interleavings: 2,
-            stragglers: true,
+            mode: Mode::Stragglers,
             ..CheckConfig::default()
         };
         let mut rescued = 0;
@@ -830,7 +925,7 @@ mod tests {
                 panic!("straggler seed {seed}: {f}");
             }
             let got = run::execute(&gen_for(seed, &cfg), TieBreak::Fifo, None);
-            rescued += got.rescues.len();
+            rescued += got.journal.iter().filter_map(RescueRecord::of).count();
         }
         assert!(rescued > 0, "no straggler seed in 0..8 ever rescued");
     }
@@ -839,7 +934,7 @@ mod tests {
     fn integrity_seeds_check_clean_and_some_heal() {
         let cfg = CheckConfig {
             interleavings: 2,
-            integrity: true,
+            mode: Mode::Integrity,
             ..CheckConfig::default()
         };
         let mut healed = 0;
@@ -848,7 +943,7 @@ mod tests {
                 panic!("integrity seed {seed}: {f}");
             }
             let got = run::execute(&gen_for(seed, &cfg), TieBreak::Fifo, None);
-            healed += got.integrity_events.len();
+            healed += got.journal.iter().filter_map(IntegrityEvent::of).count();
         }
         assert!(healed > 0, "no integrity seed in 0..8 ever healed");
     }
@@ -857,7 +952,7 @@ mod tests {
     fn overlap_seeds_check_clean_and_some_pipeline() {
         let cfg = CheckConfig {
             interleavings: 2,
-            overlap: true,
+            mode: Mode::Overlap,
             ..CheckConfig::default()
         };
         let mut piped = 0;
@@ -866,7 +961,7 @@ mod tests {
                 panic!("overlap seed {seed}: {f}");
             }
             let got = run::execute(&gen_for(seed, &cfg), TieBreak::Fifo, None);
-            piped += got.overlap.len();
+            piped += got.journal.iter().filter_map(OverlapRecord::of).count();
         }
         assert!(piped > 0, "no overlap seed in 0..8 ever pipelined");
     }
@@ -875,7 +970,7 @@ mod tests {
     fn peer_seeds_check_clean() {
         let cfg = CheckConfig {
             interleavings: 2,
-            peer: true,
+            mode: Mode::Peer,
             ..CheckConfig::default()
         };
         for seed in 0..8u64 {
@@ -894,16 +989,15 @@ mod tests {
         // expose the divergence and keep failing through shrinking.
         // (The runtime-side canaries — spill and peer — have their own
         // mode-specific tests below.)
-        for (fault, faults_mode, seeds) in [
-            (Fault::StencilDropsLeftHalo, false, 0..40u64),
-            (Fault::ReduceSkipsLast, false, 0..40u64),
-            (Fault::RecoveryDropsLostChunk, true, 0..80u64),
+        for (fault, mode, seeds) in [
+            (Fault::StencilDropsLeftHalo, Mode::Plain, 0..40u64),
+            (Fault::ReduceSkipsLast, Mode::Plain, 0..40u64),
+            (Fault::RecoveryDropsLostChunk, Mode::Faults, 0..80u64),
         ] {
             let cfg = CheckConfig {
                 interleavings: 1,
                 fault: Some(fault),
-                faults: faults_mode,
-                ..CheckConfig::default()
+                mode,
             };
             let seed = seeds
                 .clone()
@@ -927,8 +1021,7 @@ mod tests {
         let cfg = CheckConfig {
             interleavings: 1,
             fault: Some(Fault::PeerCorrupt),
-            peer: true,
-            ..CheckConfig::default()
+            mode: Mode::Peer,
         };
         // Find a seed whose `exchange(auto)` run actually routes a halo
         // device-to-device (a `bump`-free Halo with interior chunks),
@@ -956,8 +1049,7 @@ mod tests {
         let cfg = CheckConfig {
             interleavings: 1,
             fault: Some(Fault::RescueDoubleCommit),
-            stragglers: true,
-            ..CheckConfig::default()
+            mode: Mode::Stragglers,
         };
         // Find a seed whose run actually rescues a piece: the forced
         // duplicate commit perturbs the losing copy's first staged
@@ -987,8 +1079,7 @@ mod tests {
         let cfg = CheckConfig {
             interleavings: 1,
             fault: Some(Fault::IntegrityCorrupt),
-            integrity: true,
-            ..CheckConfig::default()
+            mode: Mode::Integrity,
         };
         // With the checks silently disabled, the armed flips either rot
         // the final host state (bit divergence from the flip-blind
@@ -1016,8 +1107,7 @@ mod tests {
         let cfg = CheckConfig {
             interleavings: 1,
             fault: Some(Fault::OverlapLeak),
-            overlap: true,
-            ..CheckConfig::default()
+            mode: Mode::Overlap,
         };
         // The leaked sub-slice is value-visible (first element
         // perturbed before the early commit), so the harness flags it
@@ -1043,8 +1133,7 @@ mod tests {
         let cfg = CheckConfig {
             interleavings: 1,
             fault: Some(Fault::SpillDropsSlice),
-            pressure: true,
-            ..CheckConfig::default()
+            mode: Mode::Pressure,
         };
         // Find a seed whose program actually spills (Spill policy with a
         // visibly-perturbed kernel), then require the harness to flag it

@@ -1,7 +1,8 @@
 //! The executor: lowers a [`Program`] onto the real runtime and runs it
 //! under a chosen event-queue tie-break policy, collecting everything
 //! the oracle predicts — final host arrays, reduction values, the
-//! mapping-table snapshot, race reports, and the first error.
+//! mapping-table snapshot, race reports, the runtime's decision
+//! journal, and the first error.
 
 use spread_core::spread_map::SpreadMap;
 use spread_core::testing::TargetSpreadTestingExt;
@@ -12,19 +13,14 @@ use spread_core::{
 };
 use spread_devices::{DeviceSpec, Topology};
 use spread_rt::kernel::KernelArg;
-use spread_rt::{
-    DegradationEvent, HostArray, IntegrityEvent, KernelSpec, MapType, RtError, Runtime,
-    RuntimeConfig, Scope,
-};
+use spread_rt::{Event, HostArray, KernelSpec, MapType, RtError, Runtime, RuntimeConfig, Scope};
 use spread_sim::{FaultPlan, SimTime, TieBreak};
-use spread_trace::ConstructProfile;
 
 use crate::ast::{
     BadKind, FaultSpec, IntegritySpec, KernelOp, PressureSpec, Program, Stmt, StragglerSpec,
 };
 use crate::{oracle, Fault};
 use spread_core::StragglerPolicy;
-use spread_rt::{OverlapRecord, RescueRecord};
 
 /// The host staging-buffer bound the executor configures for pressure
 /// programs: 8 pool elements, small enough that most spilled pieces
@@ -41,32 +37,16 @@ pub struct Observed {
     /// `(array, start, len, refcount)` per device, sorted — from
     /// [`Runtime::mapping_snapshot`].
     pub mappings: Vec<Vec<(u32, usize, usize, u32)>>,
-    /// Degradation events in program order, from
-    /// [`Runtime::degradations`].
-    pub degradations: Vec<DegradationEvent>,
-    /// Per-construct adaptive profiles in launch order, from
-    /// [`Runtime::profiles`] — non-empty only for
-    /// `spread_schedule(auto)` programs (which run with tracing on).
-    pub profiles: Vec<ConstructProfile>,
     /// Number of race reports.
     pub races: usize,
-    /// Every peer copy the runtime performed, in enqueue order:
-    /// `(src, dst, array, start, len, diverted)` — from
-    /// [`Runtime::peer_copies`]. Empty unless the program carries
-    /// [`Stmt::Halo`] statements executed under `exchange(auto)`.
-    pub peer_copies: Vec<(u32, u32, u32, usize, usize, bool)>,
-    /// Every straggler rescue the runtime performed, in detection
-    /// order — from [`Runtime::rescues`]. Empty unless the program
-    /// carries a [`StragglerSpec`].
-    pub rescues: Vec<RescueRecord>,
-    /// Every caught corruption, in detection order — from
-    /// [`Runtime::integrity_events`]. Empty unless the program carries
-    /// an [`IntegritySpec`] (or the peer canary arms a flip).
-    pub integrity_events: Vec<IntegrityEvent>,
-    /// Every pipelined piece the runtime ran, in completion order —
-    /// from [`Runtime::overlap_records`]. Empty unless the program
-    /// carries an [`crate::ast::OverlapSpec`].
-    pub overlap: Vec<OverlapRecord>,
+    /// Every decision the runtime took, in order — from
+    /// [`Runtime::journal`]: degradations (pressure programs), profiles
+    /// (`spread_schedule(auto)` programs, which run with tracing on),
+    /// peer copies ([`Stmt::Halo`] under `exchange(auto)`), rescues
+    /// ([`StragglerSpec`]), integrity events ([`IntegritySpec`], or the
+    /// peer canary's flip) and pipelined pieces
+    /// ([`crate::ast::OverlapSpec`]).
+    pub journal: Vec<Event>,
     /// The first error, if any.
     pub error: Option<RtError>,
 }
@@ -155,12 +135,10 @@ fn issue_spread(
     nowait: bool,
     resilience: ResiliencePolicy,
     pressure: Option<PressurePolicy>,
-    drop_spill: bool,
     straggler: Option<StragglerPolicy>,
-    force_rescue: bool,
     integrity: Option<IntegrityMode>,
     overlap: Option<u32>,
-    leak_overlap: bool,
+    inject: Option<Fault>,
     op: &KernelOp,
 ) -> Result<(), RtError> {
     let range = op.range(n);
@@ -172,23 +150,9 @@ fn issue_spread(
     }
     if let Some(depth) = overlap {
         b = b.with_overlap(OverlapPolicy::Depth(depth));
-        if leak_overlap {
-            // The `--inject overlap` canary: the *runtime* commits one
-            // staged sub-slice to host memory before the whole-piece
-            // commit point, first element perturbed, and the harness
-            // must catch the escape (bit divergence or a `leaked`
-            // record).
-            b = b.inject_overlap_leak();
-        }
     }
     if let Some(policy) = pressure {
         b = b.with_pressure(policy);
-        if drop_spill {
-            // The `--inject spill` canary: the *runtime* silently drops
-            // the last slice of every spilled piece, and the harness
-            // must catch the divergence from the (correct) oracle.
-            b = b.inject_drop_last_spill_slice();
-        }
     }
     // Straggler programs run serial lanes with a 2000× per-iteration
     // cost, so kernel work dominates the progress window and a slowed
@@ -197,14 +161,21 @@ fn issue_spread(
     let cost = if straggler.is_some() { 2000.0 } else { 1.0 };
     if let Some(policy) = straggler {
         b = b.with_straggler(policy).num_teams(1).num_threads(1);
-        if force_rescue {
-            // The `--inject rescue` canary: the *runtime* lets the
-            // losing copy of every rescue commit its staged writes
-            // anyway (first element perturbed), and the harness must
-            // catch the divergence from first-commit-wins.
-            b = b.inject_rescue_double_commit();
-        }
     }
+    // The runtime-side canaries, each armed on the constructs that
+    // carry its clause; the harness must catch the divergence from the
+    // (correct) oracle. `--inject spill` silently drops the last slice
+    // of every spilled piece. `--inject rescue` lets the losing copy of
+    // every rescue commit its staged writes anyway (first element
+    // perturbed), breaking first-commit-wins. `--inject overlap`
+    // commits one staged sub-slice before the whole-piece commit point,
+    // first element perturbed (bit divergence or a `leaked` record).
+    b = match inject {
+        Some(Fault::SpillDropsSlice) if pressure.is_some() => b.inject_drop_last_spill_slice(),
+        Some(Fault::RescueDoubleCommit) if straggler.is_some() => b.inject_rescue_double_commit(),
+        Some(Fault::OverlapLeak) if overlap.is_some() => b.inject_overlap_leak(),
+        _ => b,
+    };
     if nowait {
         b = b.nowait();
     }
@@ -280,11 +251,9 @@ fn issue(
     p: &Program,
     handles: &[HostArray],
     reduces: &mut Vec<f64>,
-    drop_spill: bool,
-    force_rescue: bool,
+    inject: Option<Fault>,
     exchange: ExchangeMode,
     integrity: Option<IntegrityMode>,
-    leak_overlap: bool,
     stmt: &Stmt,
 ) -> Result<(), RtError> {
     let resilience = if p.resilient() {
@@ -307,12 +276,10 @@ fn issue(
             *nowait,
             resilience,
             p.pressure_policy(),
-            drop_spill,
             p.straggler_policy(),
-            force_rescue,
             integrity,
             p.overlap_depth(),
-            leak_overlap,
+            inject,
             op,
         ),
         Stmt::Reduce {
@@ -370,12 +337,10 @@ fn issue(
                     false,
                     resilience,
                     None,
-                    false,
-                    None,
-                    false,
                     None,
                     None,
-                    false,
+                    None,
+                    None,
                     &KernelOp::AddConst { a: *a, c: cv },
                 )?;
             }
@@ -429,12 +394,10 @@ fn issue(
                     false,
                     resilience,
                     None,
-                    false,
-                    None,
-                    false,
                     None,
                     None,
-                    false,
+                    None,
+                    None,
                     &KernelOp::AddConst { a: *a, c: cv },
                 )?;
             }
@@ -557,9 +520,9 @@ fn issue(
 }
 
 /// Execute `p` under `tie` and report what the runtime observed.
-/// `inject` perturbs the *runtime* when it is the spill canary
-/// ([`Fault::SpillDropsSlice`]); every other fault perturbs the oracle
-/// instead and is ignored here. [`Stmt::Halo`] exchanges run through
+/// `inject` perturbs the *runtime* when it is a runtime-side canary
+/// (spill, peer, rescue, integrity, overlap); the oracle-side faults
+/// are ignored here. [`Stmt::Halo`] exchanges run through
 /// the host — see [`execute_ex`] for the peer route.
 pub fn execute(p: &Program, tie: TieBreak, inject: Option<Fault>) -> Observed {
     execute_ex(p, tie, inject, ExchangeMode::Host)
@@ -583,9 +546,6 @@ pub fn execute_ex(
     inject: Option<Fault>,
     exchange: ExchangeMode,
 ) -> Observed {
-    let drop_spill = inject == Some(Fault::SpillDropsSlice) && p.pressure.is_some();
-    let force_rescue = inject == Some(Fault::RescueDoubleCommit) && p.straggler.is_some();
-    let leak_overlap = inject == Some(Fault::OverlapLeak) && p.overlap.is_some();
     let peer_flip = (inject == Some(Fault::PeerCorrupt) && exchange != ExchangeMode::Host)
         .then(|| oracle::predict_peer_copies(p).first().map(|r| r.1))
         .flatten();
@@ -616,11 +576,9 @@ pub fn execute_ex(
                     p,
                     &handles,
                     &mut reduces,
-                    drop_spill,
-                    force_rescue,
+                    inject,
                     exchange,
                     integrity,
-                    leak_overlap,
                     stmt,
                 )?;
             }
@@ -643,26 +601,8 @@ pub fn execute_ex(
         arrays: handles.iter().map(|&h| rt.snapshot_host(h)).collect(),
         reduces,
         mappings,
-        degradations: rt.degradations(),
-        profiles: rt.profiles(),
         races: rt.races().len(),
-        rescues: rt.rescues(),
-        integrity_events: rt.integrity_events(),
-        overlap: rt.overlap_records(),
-        peer_copies: rt
-            .peer_copies()
-            .iter()
-            .map(|r| {
-                (
-                    r.src,
-                    r.dst,
-                    r.section.array.0,
-                    r.section.start,
-                    r.section.len,
-                    r.diverted,
-                )
-            })
-            .collect(),
+        journal: rt.journal(),
         error: result.err(),
     }
 }
@@ -671,6 +611,8 @@ pub fn execute_ex(
 mod tests {
     use super::*;
     use crate::ast::Sched;
+    use spread_rt::JournalRecord;
+    use spread_trace::ConstructProfile;
 
     #[test]
     fn executor_matches_a_hand_prediction() {
@@ -697,7 +639,7 @@ mod tests {
             assert_eq!(o.arrays[0][i], Program::initial(0, i) + 1.5);
         }
         assert!(o.mappings.iter().all(|d| d.is_empty()));
-        assert!(o.degradations.is_empty());
+        assert!(o.journal.is_empty());
     }
 
     #[test]
@@ -722,11 +664,13 @@ mod tests {
         let o = execute(&p, TieBreak::Fifo, None);
         assert!(o.error.is_none(), "{:?}", o.error);
         assert_eq!(o.races, 0);
-        assert_eq!(o.profiles.len(), 2);
-        assert_eq!(o.profiles[0].key, "auto-3");
-        assert_eq!(o.profiles[0].launch, 0);
-        assert_eq!(o.profiles[1].launch, 1);
-        assert_eq!(o.profiles[0].weights.len(), 2);
+        let profiles: Vec<&ConstructProfile> =
+            o.journal.iter().filter_map(JournalRecord::of).collect();
+        assert_eq!(profiles.len(), 2);
+        assert_eq!(profiles[0].key, "auto-3");
+        assert_eq!(profiles[0].launch, 0);
+        assert_eq!(profiles[1].launch, 1);
+        assert_eq!(profiles[0].weights.len(), 2);
         for i in 0..24 {
             assert_eq!(o.arrays[0][i], Program::initial(0, i) + 1.5);
         }
@@ -822,8 +766,11 @@ mod tests {
         let o = execute(&p, TieBreak::Fifo, None);
         assert!(o.error.is_none(), "{:?}", o.error);
         assert_eq!(o.races, 0);
-        assert_eq!(o.degradations.len(), 1, "{:?}", o.degradations);
-        assert!(o.degradations[0].device.is_none(), "spilled to the host");
+        assert_eq!(o.journal.len(), 1, "{:?}", o.journal);
+        assert!(
+            matches!(&o.journal[0], Event::Degraded(e) if e.device.is_none()),
+            "spilled to the host"
+        );
         for i in 0..12 {
             assert_eq!(o.arrays[0][i], Program::initial(0, i) + 1.5);
         }

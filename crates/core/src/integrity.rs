@@ -27,7 +27,7 @@
 
 use std::rc::Rc;
 
-use spread_rt::{ConstructIds, IntegrityAction, KernelSpec, RtError, Scope, TaskId};
+use spread_rt::{ConstructIds, Event, IntegrityAction, KernelSpec, RtError, Scope, TaskId};
 use spread_trace::{Lane, SpanKind};
 
 use crate::chunk::ChunkCtx;
@@ -101,9 +101,10 @@ fn heal(
     // the device lost) tells those victims apart from real hardware
     // death.
     let quarantined = |s: &Scope<'_>| {
-        s.integrity_events()
-            .iter()
-            .any(|e| e.device == home && e.action == IntegrityAction::Quarantined)
+        s.journal().iter().any(|e| {
+            matches!(e, Event::Integrity(e)
+                if e.device == home && e.action == IntegrityAction::Quarantined)
+        })
     };
     let target = if corrupt && !s.is_device_lost(home) {
         // The commit drain caught rot but the breaker still trusts the

@@ -40,7 +40,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use spread_rt::{
-    ConstructIds, DegradationEvent, DegradationKind, KernelSpec, RtError, Scope, TaskId,
+    ConstructIds, DegradationEvent, DegradationKind, Event, KernelSpec, RtError, Scope, TaskId,
 };
 
 use crate::chunk::ChunkCtx;
@@ -296,9 +296,6 @@ pub fn spec_admission(
                     DegradationKind::AdmissionShrunk => spread_semantics::DegKind::AdmissionShrunk,
                     DegradationKind::ChunkSplit => spread_semantics::DegKind::ChunkSplit,
                     DegradationKind::Spilled => spread_semantics::DegKind::Spilled,
-                    DegradationKind::StragglerRescued | DegradationKind::CorruptionHealed => {
-                        unreachable!("the admission planner never emits rescue or heal events")
-                    }
                 },
                 device: e.device,
                 start: e.start,
@@ -380,13 +377,13 @@ fn recover(
         match coord.spread.pressure() {
             PressurePolicy::Spill => {
                 let bytes = coord.spread.footprint_bytes(start, len);
-                s.record_degradation(DegradationEvent {
+                s.record(Event::Degraded(DegradationEvent {
                     kind: DegradationKind::Spilled,
                     device: None,
                     start,
                     len,
                     bytes,
-                });
+                }));
                 let spill_id = spread_rt::spill_chunk(
                     s,
                     format!("spread-spill[{start}..{})", start + len),
@@ -411,13 +408,13 @@ fn recover(
     let mut exits = Vec::with_capacity(2);
     for (h_start, h_len) in halves {
         let bytes = coord.spread.footprint_bytes(h_start, h_len);
-        s.record_degradation(DegradationEvent {
+        s.record(Event::Degraded(DegradationEvent {
             kind: DegradationKind::ChunkSplit,
             device: Some(device),
             start: h_start,
             len: h_len,
             bytes,
-        });
+        }));
         let c = ChunkCtx::new(h_start, h_len);
         let t = coord
             .spread

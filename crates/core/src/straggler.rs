@@ -31,15 +31,16 @@
 //!
 //! Rescues serialize after every construct already placed on their
 //! target device (the §V-B gap condition by ordering, exactly like
-//! [`resilience`](crate::resilience) replacements), and are reported
-//! through [`Runtime::rescues`](spread_rt::Runtime::rescues) plus a
-//! `StragglerRescued` degradation event per rescue.
+//! [`resilience`](crate::resilience) replacements), and are journaled
+//! as [`Event::Rescue`](spread_rt::Event::Rescue) records (see
+//! [`Runtime::journal`](spread_rt::Runtime::journal)), each mirrored as
+//! one `Rescue` marker span.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use spread_rt::{CommitGate, ConstructIds, KernelSpec, RescueRecord, Scope, TaskId};
+use spread_rt::{CommitGate, ConstructIds, Event, KernelSpec, RescueRecord, Scope, TaskId};
 use spread_trace::{SimDuration, SimTime};
 
 use crate::chunk::ChunkCtx;
@@ -206,7 +207,7 @@ impl Monitor {
         for id in ids.all() {
             s.forgive_task_footprints(id);
         }
-        let idx = s.record_rescue(RescueRecord {
+        let idx = s.record(Event::Rescue(RescueRecord {
             start,
             len,
             from,
@@ -214,7 +215,7 @@ impl Monitor {
             winner: None,
             commits: 0,
             stolen,
-        });
+        }));
         gate.set_log_idx(idx);
         if self.spread.armed(Canary::RescueDoubleCommit) {
             gate.force_duplicate();

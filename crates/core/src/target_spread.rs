@@ -23,7 +23,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use spread_rt::directives::Target;
-use spread_rt::{IntegrityMode, KernelSpec, RtError, Scope, Section, TaskId};
+use spread_rt::{Event, IntegrityMode, KernelSpec, RtError, Scope, Section, TaskId};
 
 use crate::chunk::ChunkCtx;
 use crate::clauses::{ClauseSet, OverlapPolicy, SpreadClausesExt};
@@ -509,7 +509,7 @@ impl TargetSpread {
                 self.clauses.pressure,
             )?;
             for ev in pressure::degradation_events(&plan) {
-                scope.record_degradation(ev);
+                scope.record(Event::Degraded(ev));
             }
             plan.iter().map(|p| (p.range(), p.placement)).collect()
         } else {

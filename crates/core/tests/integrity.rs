@@ -96,7 +96,10 @@ fn off_lets_a_flip_flow_through_silently() {
         .filter(|&i| out[i].to_bits() != expect[i].to_bits())
         .count();
     assert_eq!(wrong, 1, "exactly one element rotted on the way home");
-    assert!(rt.integrity_events().is_empty(), "off computes no digests");
+    assert!(
+        rt.events::<IntegrityEvent>().is_empty(),
+        "off computes no digests"
+    );
 }
 
 #[test]
@@ -116,7 +119,7 @@ fn verify_fails_the_construct_and_names_the_device() {
         matches!(err, RtError::IntegrityViolation { device: 2, .. }),
         "{err:?}"
     );
-    let events = rt.integrity_events();
+    let events = rt.events::<IntegrityEvent>();
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].device, 2);
     assert_eq!(events[0].boundary, IntegrityBoundary::Commit);
@@ -143,7 +146,7 @@ fn heal_completes_bit_identical_with_flips_injected() {
     .unwrap();
     assert_eq!(out, expect, "healed results must be bit-identical");
     assert!(rt.races().is_empty());
-    let events = rt.integrity_events();
+    let events = rt.events::<IntegrityEvent>();
     assert_eq!(events.len(), 3, "three flips, three detections");
     assert!(events
         .iter()
@@ -176,7 +179,7 @@ fn a_mismatch_streak_quarantines_and_the_redo_lands_on_a_sibling() {
     .unwrap();
     assert_eq!(out, expect, "quarantine still lands bit-identical results");
     assert_eq!(rt.lost_devices(), vec![1], "the liar is quarantined");
-    let events = rt.integrity_events();
+    let events = rt.events::<IntegrityEvent>();
     assert!(
         events
             .iter()
@@ -205,7 +208,7 @@ fn heal_composes_with_redistribute_across_a_genuine_loss() {
     .unwrap();
     assert_eq!(out, expect, "loss redistributed and flip healed at once");
     assert!(rt
-        .integrity_events()
+        .events::<IntegrityEvent>()
         .iter()
         .any(|e| e.action == IntegrityAction::Healed && e.device == 1));
 }
@@ -244,7 +247,10 @@ fn heal_without_faults_matches_fail_stop_exactly() {
     )
     .unwrap();
     assert_eq!(out, expect);
-    assert!(rt.integrity_events().is_empty(), "no fault, no detections");
+    assert!(
+        rt.events::<IntegrityEvent>().is_empty(),
+        "no fault, no detections"
+    );
     let heals = rt
         .timeline()
         .spans()
@@ -268,7 +274,7 @@ fn healing_is_deterministic() {
             n,
         )
         .unwrap();
-        (out, rt.integrity_events().len(), rt.elapsed())
+        (out, rt.events::<IntegrityEvent>().len(), rt.elapsed())
     };
     assert_eq!(run(), run(), "same plan, same seed => identical healing");
 }

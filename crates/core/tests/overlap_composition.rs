@@ -9,7 +9,7 @@ use spread_core::prelude::*;
 use spread_devices::{DeviceSpec, Topology};
 use spread_rt::kernel::KernelArg;
 use spread_rt::prelude::*;
-use spread_rt::IntegrityAction;
+use spread_rt::{IntegrityAction, OverlapRecord, RescueRecord};
 use spread_sim::FaultPlan;
 use spread_trace::SimTime;
 
@@ -166,7 +166,7 @@ fn overlap_static_multi_device_bit_identical() {
         })
         .unwrap();
         assert_eq!(out, expect, "depth {depth}");
-        let recs = rt.overlap_records();
+        let recs = rt.events::<OverlapRecord>();
         assert_eq!(recs.len(), n / 64, "one record per pipelined piece");
         assert!(recs.iter().all(|r| r.staged == r.committed && !r.leaked));
         assert!(rt.races().is_empty());
@@ -215,7 +215,7 @@ fn overlap_auto_explores_depths_and_stays_bit_identical() {
     // The exploration phase must have tried the pipelined candidates
     // (depths 2 and 4) at least once each: those launches leave overlap
     // records; depth-1 launches do not.
-    let recs = rt.overlap_records();
+    let recs = rt.events::<OverlapRecord>();
     let depths: std::collections::BTreeSet<u32> = recs.iter().map(|r| r.depth).collect();
     assert!(
         depths.contains(&2) && depths.contains(&4),
@@ -274,7 +274,7 @@ fn overlap_composes_with_straggler_steal() {
     })
     .unwrap();
     assert_eq!(out, expect, "rescued results must be bit-identical");
-    let rescues = rt.rescues();
+    let rescues = rt.events::<RescueRecord>();
     assert!(!rescues.is_empty(), "the slow piece must be rescued");
     for r in &rescues {
         assert_eq!(r.from, 1);
@@ -283,7 +283,7 @@ fn overlap_composes_with_straggler_steal() {
     }
     // The rescue re-executes the piece *un-pipelined*: the overlap log
     // holds one record per original piece and nothing for rescues.
-    assert_eq!(rt.overlap_records().len(), n / 64);
+    assert_eq!(rt.events::<OverlapRecord>().len(), n / 64);
     assert!(rt.races().is_empty());
 }
 
@@ -303,7 +303,7 @@ fn overlap_composes_with_integrity_verify() {
         RtError::IntegrityViolation { device, .. } => assert_eq!(device, 1),
         other => panic!("expected IntegrityViolation on device 1, got {other:?}"),
     }
-    let events = rt.integrity_events();
+    let events = rt.events::<IntegrityEvent>();
     assert!(events.iter().any(|e| e.action == IntegrityAction::Failed));
 }
 
@@ -323,7 +323,7 @@ fn overlap_composes_with_integrity_heal() {
     .unwrap();
     assert_eq!(out, expect, "healed results must be bit-identical");
     assert!(rt
-        .integrity_events()
+        .events::<IntegrityEvent>()
         .iter()
         .any(|e| e.action == IntegrityAction::Healed && e.device == 1));
     assert!(rt.races().is_empty());
@@ -341,5 +341,5 @@ fn depth_one_is_off() {
     for (i, v) in out.iter().enumerate() {
         assert_eq!(*v, 3.0 * i as f64 + 1.0);
     }
-    assert!(rt.overlap_records().is_empty());
+    assert!(rt.events::<OverlapRecord>().is_empty());
 }

@@ -7,7 +7,7 @@ use spread_core::prelude::*;
 use spread_devices::{DeviceSpec, Topology};
 use spread_rt::kernel::KernelArg;
 use spread_rt::prelude::*;
-use spread_rt::DegradationKind;
+use spread_rt::{DegradationEvent, DegradationKind};
 use spread_sim::FaultPlan;
 use spread_trace::{SimTime, SpanKind};
 
@@ -67,7 +67,7 @@ fn no_pressure_means_no_degradation() {
     let mut rt = runtime(2, 1 << 22, None);
     let out = run_scale(&mut rt, vec![0, 1], PressurePolicy::Split, 128).unwrap();
     assert_eq!(out, expected(128));
-    assert!(rt.degradations().is_empty());
+    assert!(rt.events::<DegradationEvent>().is_empty());
     assert!(rt.races().is_empty());
 }
 
@@ -80,7 +80,7 @@ fn admission_moves_chunk_off_pressured_device() {
     let mut rt = runtime(2, cap, Some(plan));
     let out = run_scale(&mut rt, vec![0, 1], PressurePolicy::Split, 128).unwrap();
     assert_eq!(out, expected(128));
-    let evs = rt.degradations();
+    let evs = rt.events::<DegradationEvent>();
     assert_eq!(evs.len(), 1, "exactly one admission move, got {evs:?}");
     assert_eq!(evs[0].kind, DegradationKind::AdmissionShrunk);
     assert_eq!(evs[0].device, Some(1));
@@ -96,7 +96,7 @@ fn oversized_chunks_split_recursively_and_complete() {
     let mut rt = runtime(3, 768, None);
     let out = run_scale(&mut rt, vec![0, 1, 2], PressurePolicy::Split, 128).unwrap();
     assert_eq!(out, expected(128));
-    let evs = rt.degradations();
+    let evs = rt.events::<DegradationEvent>();
     assert!(
         evs.len() >= 4,
         "two oversized chunks must split at least once each, got {evs:?}"
@@ -127,7 +127,7 @@ fn spill_completes_when_no_device_has_headroom() {
     let mut rt = runtime(2, cap, Some(plan));
     let out = run_scale(&mut rt, vec![0, 1], PressurePolicy::Spill, 128).unwrap();
     assert_eq!(out, expected(128));
-    let evs = rt.degradations();
+    let evs = rt.events::<DegradationEvent>();
     assert_eq!(evs.len(), 2, "both chunks spill whole, got {evs:?}");
     assert!(evs.iter().all(|e| e.kind == DegradationKind::Spilled));
     assert!(evs.iter().all(|e| e.device.is_none()));
@@ -202,7 +202,7 @@ fn reactive_split_recovers_from_fragmentation() {
     .unwrap();
     let out = rt.snapshot_host(x);
     assert_eq!(out, (0..n).map(|i| 2.0 * i as f64).collect::<Vec<_>>());
-    let evs = rt.degradations();
+    let evs = rt.events::<DegradationEvent>();
     assert_eq!(
         evs.iter()
             .filter(|e| e.kind == DegradationKind::ChunkSplit)
@@ -223,7 +223,7 @@ fn pressure_under_pressure_is_deterministic() {
             .sustain_pressure(1, SimTime::ZERO, cap / 2);
         let mut rt = runtime(2, cap, Some(plan));
         let out = run_scale(&mut rt, vec![0, 1], PressurePolicy::Spill, 256).unwrap();
-        (out, rt.degradations(), rt.elapsed())
+        (out, rt.events::<DegradationEvent>(), rt.elapsed())
     };
     assert_eq!(
         run(),

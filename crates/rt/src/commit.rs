@@ -36,7 +36,7 @@ struct GateState {
     /// Canary: losers commit too (with a perturbed first element) so a
     /// conformance harness can prove double commits are caught.
     force_duplicate: bool,
-    /// Index of this gate's entry in the runtime's rescue log, set when
+    /// Index of this gate's entry in the runtime's journal, set when
     /// a rescue is actually launched.
     log_idx: Option<usize>,
 }
@@ -123,14 +123,15 @@ impl CommitGate {
         self.inner.borrow_mut().commits += 1;
     }
 
-    /// Attach this gate to an entry of the runtime's rescue log (the
-    /// index returned by `Scope::record_rescue`): the gate will fill in
-    /// that record's `winner`/`commits` as the racing exits arrive.
+    /// Attach this gate to a journaled rescue (the index
+    /// `Scope::record` returned for its `Event::Rescue`): the gate will
+    /// fill in that record's `winner`/`commits` as the racing exits
+    /// arrive.
     pub fn set_log_idx(&self, idx: usize) {
         self.inner.borrow_mut().log_idx = Some(idx);
     }
 
-    /// The attached rescue-log index, if any.
+    /// The attached journal index, if any.
     pub(crate) fn log_idx(&self) -> Option<usize> {
         self.inner.borrow().log_idx
     }

@@ -24,8 +24,8 @@
 //!   per-device mismatch streak escalates through the `health.rs`
 //!   circuit breaker into quarantine.
 //!
-//! Every detection is recorded as an [`IntegrityEvent`], exposed via
-//! [`Runtime::integrity_events`](crate::runtime::Runtime::integrity_events).
+//! Every detection is journaled as an [`IntegrityEvent`] (see
+//! [`Runtime::journal`](crate::runtime::Runtime::journal)).
 
 use spread_trace::SimTime;
 

@@ -23,6 +23,9 @@
 //!   the body on a [`spread_teams::TeamPool`].
 //! * [`runtime`] — [`Runtime`] / [`Scope`]: the central object tying the
 //!   simulator, devices, presence tables and task graph together.
+//! * [`journal`] — the runtime journal: every decision (degradation,
+//!   rescue, peer copy, integrity event, pipelined piece, profile) as
+//!   one [`Event`], in the order it was taken.
 //! * [`directives`] — builder-style directives mirroring the pragmas:
 //!   [`Target`](directives::Target), [`TargetData`](directives::TargetData),
 //!   [`TargetEnterData`](directives::TargetEnterData),
@@ -50,6 +53,7 @@ pub mod directives;
 pub mod error;
 pub mod host;
 pub mod integrity;
+pub mod journal;
 pub mod kernel;
 pub mod map;
 pub mod mapping;
@@ -65,6 +69,7 @@ pub use directives::{ConstructIds, ExchangeMode};
 pub use error::RtError;
 pub use host::HostArray;
 pub use integrity::{IntegrityAction, IntegrityBoundary, IntegrityEvent, IntegrityMode};
+pub use journal::{Event, JournalRecord};
 pub use kernel::{Access, KernelArg, KernelSpec};
 pub use map::{MapClause, MapType};
 pub use overlap::OverlapRecord;

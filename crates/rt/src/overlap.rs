@@ -58,11 +58,12 @@ use spread_devices::compute::KernelOp;
 use spread_devices::dma::DmaOp;
 use spread_devices::node::DeviceHandle;
 use spread_devices::AllocId;
-use spread_sim::{FaultEventKind, Simulator};
+use spread_sim::{FaultEventKind, SimTime, Simulator};
 use spread_teams::{LoopSchedule, TeamPool};
 
 use crate::error::RtError;
 use crate::integrity::IntegrityMode;
+use crate::journal::{self, Event};
 use crate::kernel::{self, KernelBody, KernelSpec, ResolvedArg};
 use crate::map::MapClause;
 use crate::mapping::EntryKey;
@@ -920,7 +921,7 @@ pub(crate) fn pipelined_exit(
 ) -> Result<Completion, RtError> {
     if pipe.bypass.get() {
         let plan = inner_rc.borrow_mut().plan_exit(device, maps)?;
-        push_record(inner_rc, pipe);
+        push_record(sim.now(), inner_rc, pipe);
         run_transfers_ex(
             sim,
             inner_rc,
@@ -981,7 +982,7 @@ pub(crate) fn pipelined_exit(
                 &gate,
             );
             pipe.record.borrow_mut().committed = committed as u32;
-            push_record(&inner_rc, &pipe);
+            push_record(sim.now(), &inner_rc, &pipe);
         })
     };
     *pipe.exit_finish.borrow_mut() = Some(finish);
@@ -1003,10 +1004,10 @@ pub(crate) fn pipelined_exit(
     Ok(Completion::Async)
 }
 
-/// Append the construct's ledger record.
-fn push_record(inner_rc: &Rc<RefCell<Inner>>, pipe: &Rc<PipeState>) {
+/// Journal the construct's pipeline record.
+fn push_record(now: SimTime, inner_rc: &Rc<RefCell<Inner>>, pipe: &Rc<PipeState>) {
     let rec = pipe.record.borrow().clone();
-    inner_rc.borrow_mut().overlap_log.push(rec);
+    journal::record(now, &mut inner_rc.borrow_mut(), Event::Overlap(rec));
 }
 
 #[cfg(test)]

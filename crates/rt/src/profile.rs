@@ -36,7 +36,7 @@ const DEPTH_CANDIDATES: [u32; 3] = [1, 2, 4];
 /// Smoothing factor for the per-depth duration EWMA.
 const DEPTH_EWMA_ALPHA: f64 = 0.5;
 
-/// Per-key adaptive state plus the full launch history.
+/// Per-key adaptive state.
 pub(crate) struct ProfileStore {
     /// Damping factor α in `(0, 1]`.
     damping: f64,
@@ -44,8 +44,6 @@ pub(crate) struct ProfileStore {
     weights: HashMap<String, Vec<f64>>,
     /// Launches per key (the `launch` counter stamped on profiles).
     counts: HashMap<String, u64>,
-    /// Every recorded launch, in completion order across all keys.
-    history: Vec<ConstructProfile>,
     /// Per-key `spread_overlap(auto)` observations:
     /// depth → (duration EWMA in ns, observation count).
     depths: HashMap<String, Vec<(u32, f64, u64)>>,
@@ -57,7 +55,6 @@ impl ProfileStore {
             damping: damping.clamp(f64::MIN_POSITIVE, 1.0),
             weights: HashMap::new(),
             counts: HashMap::new(),
-            history: Vec::new(),
             depths: HashMap::new(),
         }
     }
@@ -124,7 +121,7 @@ impl ProfileStore {
     /// either tracing is disabled (no spans, nothing to learn from) or
     /// the device received no work this round — in both cases the
     /// observation carries no throughput information for that device.
-    pub(crate) fn record(&mut self, profile: ConstructProfile) {
+    pub(crate) fn record(&mut self, profile: &ConstructProfile) {
         let key = profile.key.clone();
         let finishes = profile.finish_ns();
         let used = &profile.weights;
@@ -155,12 +152,6 @@ impl ProfileStore {
             }
         }
         *self.counts.entry(key).or_insert(0) += 1;
-        self.history.push(profile);
-    }
-
-    /// Every recorded launch, in completion order.
-    pub(crate) fn history(&self) -> &[ConstructProfile] {
-        &self.history
     }
 
     /// The current weights for `key`, if it has adapted at least once.
@@ -225,7 +216,7 @@ mod tests {
     fn update_shifts_weight_toward_fast_device() {
         let mut store = ProfileStore::new(0.5);
         // Device 1 took twice as long as device 0 under equal weights.
-        store.record(profile_with_finishes("k", 0, vec![1.0, 1.0], &[100, 200]));
+        store.record(&profile_with_finishes("k", 0, vec![1.0, 1.0], &[100, 200]));
         let w = store.weights("k", 2);
         assert!(w[0] > w[1], "fast device should gain weight: {w:?}");
         assert!((w.iter().sum::<f64>() - 2.0).abs() < 1e-12);
@@ -245,7 +236,7 @@ mod tests {
             let w = store.weights("k", 2);
             let f0 = (w[0] * 1000.0) as u64;
             let f1 = (w[1] * 2000.0) as u64;
-            store.record(profile_with_finishes(
+            store.record(&profile_with_finishes(
                 "k",
                 launch,
                 w,
@@ -262,16 +253,15 @@ mod tests {
     #[test]
     fn zero_finish_skips_adaptation() {
         let mut store = ProfileStore::new(0.5);
-        store.record(profile_with_finishes("k", 0, vec![1.0, 1.0], &[100, 0]));
+        store.record(&profile_with_finishes("k", 0, vec![1.0, 1.0], &[100, 0]));
         assert_eq!(store.weights("k", 2), vec![1.0, 1.0]);
-        assert_eq!(store.next_launch("k"), 1); // still counted + in history
-        assert_eq!(store.history().len(), 1);
+        assert_eq!(store.next_launch("k"), 1); // still counted
     }
 
     #[test]
     fn device_count_change_resets_to_equal() {
         let mut store = ProfileStore::new(0.5);
-        store.record(profile_with_finishes("k", 0, vec![1.0, 1.0], &[100, 200]));
+        store.record(&profile_with_finishes("k", 0, vec![1.0, 1.0], &[100, 200]));
         assert_eq!(store.weights("k", 3), vec![1.0, 1.0, 1.0]);
     }
 
@@ -283,7 +273,7 @@ mod tests {
             // Device 1 pathologically slow.
             let f0 = ((w[0] * 100.0) as u64).max(1);
             let f1 = ((w[1] * 1_000_000.0) as u64).max(1);
-            store.record(profile_with_finishes("k", launch, w, &[f0, f1]));
+            store.record(&profile_with_finishes("k", launch, w, &[f0, f1]));
         }
         let w = store.weights("k", 2);
         assert!(w[1] > 0.0, "floor must keep the slow device sampled: {w:?}");
@@ -292,7 +282,7 @@ mod tests {
     #[test]
     fn keys_are_independent() {
         let mut store = ProfileStore::new(0.5);
-        store.record(profile_with_finishes("a", 0, vec![1.0, 1.0], &[100, 200]));
+        store.record(&profile_with_finishes("a", 0, vec![1.0, 1.0], &[100, 200]));
         assert_eq!(store.weights("b", 2), vec![1.0, 1.0]);
         assert!(store.current("a").is_some());
         assert!(store.current("b").is_none());

@@ -35,6 +35,7 @@ use spread_trace::{SimDuration, SimTime, Timeline, TraceRecorder};
 use crate::error::RtError;
 use crate::host::{HostArray, HostRegistry};
 use crate::integrity::{IntegrityAction, IntegrityBoundary, IntegrityEvent, IntegrityMode};
+use crate::journal::{self, Event, JournalRecord};
 use crate::kernel::{self, KernelSpec, ResolvedArg};
 use crate::map::{MapClause, MapType};
 use crate::mapping::{EnterDecision, EntryKey, ExitDecision, MapConflict, PresenceTable};
@@ -183,13 +184,6 @@ pub enum DegradationKind {
     /// A chunk (or piece) executed through the bounded host staging
     /// buffer (`spilled_bytes`).
     Spilled,
-    /// A straggling piece was speculatively re-executed on a healthy
-    /// sibling device (`spread_straggler(steal|replicate)`).
-    StragglerRescued,
-    /// A digest mismatch at a trust boundary was healed from the
-    /// unharmed host image (`spread_integrity(heal)`): the tainted
-    /// bytes were discarded and the piece re-executed or re-fetched.
-    CorruptionHealed,
 }
 
 /// One degradation decision, recorded in program order. `spread-check`
@@ -282,25 +276,15 @@ pub(crate) struct Inner {
     /// [`FaultCtx::oom_outstanding`] already forecasts them — headroom
     /// queries subtract this to avoid double counting.
     pub(crate) injector_live: Vec<u64>,
-    /// Degradation decisions in program order (see [`DegradationEvent`]).
-    pub(crate) degradations: Vec<DegradationEvent>,
+    /// Every decision taken so far, in the order it was taken (see
+    /// [`Runtime::journal`]).
+    pub(crate) journal: Vec<Event>,
     /// Retry policy reused for pressure-managed enter backoff.
     pub(crate) retry: RetryPolicy,
     /// Host staging-buffer bound for the spill executor.
     pub(crate) spill_staging_bytes: u64,
     /// Keyed adaptive-schedule state (`spread_schedule(auto)`).
     pub(crate) profiles: crate::profile::ProfileStore,
-    /// Every peer (device-to-device) copy planned so far, in plan
-    /// order. `diverted` flips when the effect-time re-check routed the
-    /// copy back through the host.
-    pub(crate) peer_log: Vec<PeerCopyRecord>,
-    /// Every straggler rescue launched so far, in launch order (see
-    /// [`Runtime::rescues`]). `winner`/`commits` are filled in by the
-    /// commit gate as the racing exits arrive.
-    pub(crate) rescue_log: Vec<RescueRecord>,
-    /// Every digest mismatch caught at a trust boundary, in detection
-    /// order (see [`Runtime::integrity_events`]).
-    pub(crate) integrity_log: Vec<IntegrityEvent>,
     /// Live staged-commit buffers, keyed by the construct's device: the
     /// at-rest corruption surface. A
     /// [`MemoryScribble`](PlannedFault::MemoryScribble) flips one bit in
@@ -308,13 +292,10 @@ pub(crate) struct Inner {
     /// between a D2H's eager device read and its commit into host
     /// memory. Dead weak handles are pruned on insert.
     pub(crate) staged_registry: Vec<(u32, std::rc::Weak<RefCell<Vec<StagedWrite>>>)>,
-    /// Every pipelined (`spread_overlap`) construct completed so far, in
-    /// completion order (see [`Runtime::overlap_records`]).
-    pub(crate) overlap_log: Vec<crate::overlap::OverlapRecord>,
 }
 
 /// One straggler rescue: a lagging piece speculatively re-executed on a
-/// healthy sibling device (see [`Runtime::rescues`]).
+/// healthy sibling device (journaled as [`Event::Rescue`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RescueRecord {
     /// First loop iteration of the rescued piece.
@@ -339,7 +320,7 @@ pub struct RescueRecord {
     pub stolen: bool,
 }
 
-/// One planned device-to-device copy (see [`Runtime::peer_copies`]).
+/// One planned device-to-device copy (journaled as [`Event::PeerCopy`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PeerCopyRecord {
     /// Source device the destination pulled from.
@@ -378,6 +359,13 @@ impl Inner {
             }
         }
         Ok(())
+    }
+
+    /// Flag the journaled peer copy at `idx` as replayed over the host.
+    pub(crate) fn divert_peer_copy(&mut self, idx: usize) {
+        if let Event::PeerCopy(r) = &mut self.journal[idx] {
+            r.diverted = true;
+        }
     }
 }
 
@@ -930,25 +918,6 @@ pub(crate) fn flip_one_bit(data: &mut [f64]) {
     }
 }
 
-/// Append an integrity event and mirror it as a zero-length `Verify`
-/// marker span on the offending device's compute lane (like fault and
-/// degradation markers).
-fn record_integrity_inner(now: SimTime, inner: &mut Inner, ev: IntegrityEvent) {
-    let label = format!(
-        "{:?} {:?} {} dev{}",
-        ev.action, ev.boundary, ev.section, ev.device
-    );
-    inner.trace.record(
-        spread_trace::Lane::compute(ev.device),
-        spread_trace::SpanKind::Verify,
-        label,
-        now,
-        now,
-        0,
-    );
-    inner.integrity_log.push(ev);
-}
-
 /// Apply a planned [`MemoryScribble`](PlannedFault::MemoryScribble):
 /// flip one bit in the first non-empty staged D2H snapshot currently
 /// pending commit for `device`. Inert when nothing is staged at the
@@ -1107,30 +1076,17 @@ pub(crate) fn staged_commit_finish(
         {
             let mut inner = inner_rc.borrow_mut();
             for &sec in &tainted {
-                record_integrity_inner(
+                journal::record(
                     now,
                     &mut inner,
-                    IntegrityEvent {
+                    Event::Integrity(IntegrityEvent {
                         device,
                         section: sec,
                         at: now,
                         boundary: IntegrityBoundary::Commit,
                         action,
-                    },
+                    }),
                 );
-                if action == IntegrityAction::Healed {
-                    record_degradation_inner(
-                        now,
-                        &mut inner,
-                        DegradationEvent {
-                            kind: DegradationKind::CorruptionHealed,
-                            device: Some(device),
-                            start: sec.start,
-                            len: sec.len,
-                            bytes: sec.len as u64 * 8,
-                        },
-                    );
-                }
             }
         }
         let err = RtError::IntegrityViolation {
@@ -1209,7 +1165,7 @@ pub(crate) fn staged_commit_finish(
     if let Some((g, _)) = gate {
         if let Some(ix) = g.log_idx() {
             let mut inner = inner_rc.borrow_mut();
-            if let Some(rec) = inner.rescue_log.get_mut(ix) {
+            if let Some(Event::Rescue(rec)) = inner.journal.get_mut(ix) {
                 rec.winner = g.winner();
                 rec.commits = g.commits();
             }
@@ -1436,17 +1392,17 @@ fn enqueue_peer_copy(
     };
     let (sec, alloc, off) = (c.section, c.alloc, c.offset);
     let bytes = sec.len as u64 * 8;
-    let idx = {
-        let mut inner = inner_rc.borrow_mut();
-        inner.peer_log.push(PeerCopyRecord {
+    let idx = journal::record(
+        sim.now(),
+        &mut inner_rc.borrow_mut(),
+        Event::PeerCopy(PeerCopyRecord {
             src,
             dst: device,
             section: sec,
             bytes,
             diverted: false,
-        });
-        inner.peer_log.len() - 1
-    };
+        }),
+    );
     let diverted = Rc::new(std::cell::Cell::new(false));
     // Source-side digest of the payload, set by the effect when the
     // pull goes ahead under verify/heal; the receive re-checks it.
@@ -1483,7 +1439,7 @@ fn enqueue_peer_copy(
             match data {
                 None => {
                     diverted.set(true);
-                    rc.borrow_mut().peer_log[idx].diverted = true;
+                    rc.borrow_mut().divert_peer_copy(idx);
                 }
                 Some(data) => {
                     if integrity.checks() {
@@ -1549,33 +1505,22 @@ fn enqueue_peer_copy(
                             };
                             {
                                 let mut inner = rc.borrow_mut();
-                                record_integrity_inner(
+                                journal::record(
                                     now,
                                     &mut inner,
-                                    IntegrityEvent {
+                                    Event::Integrity(IntegrityEvent {
                                         device,
                                         section: sec,
                                         at: now,
                                         boundary: IntegrityBoundary::Peer,
                                         action,
-                                    },
+                                    }),
                                 );
                                 if action == IntegrityAction::Healed {
-                                    record_degradation_inner(
-                                        now,
-                                        &mut inner,
-                                        DegradationEvent {
-                                            kind: DegradationKind::CorruptionHealed,
-                                            device: Some(device),
-                                            start: sec.start,
-                                            len: sec.len,
-                                            bytes,
-                                        },
-                                    );
                                     // The heal *is* a divert: the tainted
                                     // bytes are discarded and the section
                                     // replayed from the host image.
-                                    inner.peer_log[idx].diverted = true;
+                                    inner.divert_peer_copy(idx);
                                 }
                             }
                             match action {
@@ -1783,15 +1728,11 @@ impl Runtime {
             recoverers: std::collections::HashMap::new(),
             watchdog: cfg.watchdog,
             injector_live: vec![0; n],
-            degradations: Vec::new(),
+            journal: Vec::new(),
             retry: cfg.retry,
             spill_staging_bytes: cfg.spill_staging_bytes,
             profiles: crate::profile::ProfileStore::new(cfg.adaptive_damping),
-            peer_log: Vec::new(),
-            rescue_log: Vec::new(),
-            integrity_log: Vec::new(),
             staged_registry: Vec::new(),
-            overlap_log: Vec::new(),
         };
         // A fresh runtime starts its peak-memory statistics from zero:
         // `device_mem_peak` must describe *this* instance, even if the
@@ -2009,16 +1950,18 @@ impl Runtime {
             .high_watermark()
     }
 
-    /// The degradation decisions taken so far, in program order.
-    pub fn degradations(&self) -> Vec<DegradationEvent> {
-        self.inner.borrow().degradations.clone()
+    /// Every decision the runtime took so far, in the order it took
+    /// them: degradations, straggler rescues, peer copies, integrity
+    /// events, pipelined pieces and `spread_schedule(auto)` profiles.
+    pub fn journal(&self) -> Vec<Event> {
+        self.inner.borrow().journal.clone()
     }
 
-    /// Every `spread_schedule(auto)` launch recorded so far, in
-    /// completion order: the per-construct/per-device metrics layer.
-    /// Empty if no construct used `auto`.
-    pub fn profiles(&self) -> Vec<spread_trace::ConstructProfile> {
-        self.inner.borrow().profiles.history().to_vec()
+    /// The journal records of one type, in journal order — e.g.
+    /// `rt.events::<RescueRecord>()`.
+    pub fn events<T: JournalRecord>(&self) -> Vec<T> {
+        let inner = self.inner.borrow();
+        inner.journal.iter().filter_map(T::of).cloned().collect()
     }
 
     /// The current adaptive weights for a construct key (normalized to
@@ -2076,40 +2019,6 @@ impl Runtime {
                 v
             })
             .collect()
-    }
-
-    /// Every device-to-device copy planned so far, in plan order.
-    /// `spread-check --peer` compares this against its closed-form
-    /// prediction of which sections *must* go peer; diverted entries
-    /// were replayed over the host path at copy time.
-    pub fn peer_copies(&self) -> Vec<PeerCopyRecord> {
-        self.inner.borrow().peer_log.clone()
-    }
-
-    /// Every straggler rescue launched so far, in launch order. In a
-    /// completed run each record has `commits == 1` and a recorded
-    /// winner — the first-commit-wins gate guarantees exactly one of
-    /// the racing exits wrote host memory.
-    pub fn rescues(&self) -> Vec<RescueRecord> {
-        self.inner.borrow().rescue_log.clone()
-    }
-
-    /// Every digest mismatch caught at a trust boundary so far, in
-    /// detection order. Empty under `spread_integrity(off)` — with no
-    /// digests there is nothing to catch, which is the point of the
-    /// conformance canary that runs a flip under `off` and watches the
-    /// corruption reach host memory.
-    pub fn integrity_events(&self) -> Vec<IntegrityEvent> {
-        self.inner.borrow().integrity_log.clone()
-    }
-
-    /// Every pipelined (`spread_overlap`) construct completed so far,
-    /// in completion order. `spread-check --overlap` asserts the
-    /// whole-piece commit contract on each record (`staged ==
-    /// committed` on every clean winning exit) and that pipelining
-    /// really happened (`depth >= 2` with split descriptors).
-    pub fn overlap_records(&self) -> Vec<crate::overlap::OverlapRecord> {
-        self.inner.borrow().overlap_log.clone()
     }
 
     /// Devices permanently lost so far — by a planned loss, an
@@ -2449,16 +2358,17 @@ impl Scope<'_> {
         self.inner.borrow().spill_staging_bytes
     }
 
-    /// Record a degradation decision: appended to the runtime's event
-    /// log and mirrored as a zero-length marker span on the trace (the
-    /// device's compute lane, or the host lane for a spill).
-    pub fn record_degradation(&mut self, ev: DegradationEvent) {
-        record_degradation_inner(self.sim.now(), &mut self.inner.borrow_mut(), ev);
+    /// Record a decision: appended to the journal and mirrored as its
+    /// marker span(s) on the trace. Returns the event's journal index —
+    /// the commit gate of a rescue fills in `winner`/`commits` there.
+    pub fn record(&mut self, event: Event) -> usize {
+        journal::record(self.sim.now(), &mut self.inner.borrow_mut(), event)
     }
 
-    /// The degradation decisions taken so far, in program order.
-    pub fn degradations(&self) -> Vec<DegradationEvent> {
-        self.inner.borrow().degradations.clone()
+    /// Every decision the runtime took so far, in the order it took
+    /// them (see [`Runtime::journal`]).
+    pub fn journal(&self) -> Vec<Event> {
+        self.inner.borrow().journal.clone()
     }
 
     /// The weights a `spread_schedule(auto)` construct keyed `key`
@@ -2506,7 +2416,7 @@ impl Scope<'_> {
         let spans = inner.trace.snapshot();
         let device_profiles = spread_trace::profile_window(&spans, devices, t0, t1);
         let launch = inner.profiles.next_launch(key);
-        inner.profiles.record(spread_trace::ConstructProfile {
+        let profile = spread_trace::ConstructProfile {
             key: key.to_string(),
             launch,
             start: t0,
@@ -2514,7 +2424,9 @@ impl Scope<'_> {
             devices: device_profiles,
             weights: weights.to_vec(),
             round,
-        });
+        };
+        inner.profiles.record(&profile);
+        journal::record(t1, &mut inner, Event::Profile(profile));
     }
 
     /// Register `handler` as the recovery handler of every task in
@@ -2604,12 +2516,6 @@ impl Scope<'_> {
         }
     }
 
-    /// Every digest mismatch caught at a trust boundary so far, in
-    /// detection order (see [`Runtime::integrity_events`]).
-    pub fn integrity_events(&self) -> Vec<IntegrityEvent> {
-        self.inner.borrow().integrity_log.clone()
-    }
-
     /// Turn a not-yet-started task into a no-op: its action is replaced
     /// (it will touch nothing when its turn comes) and its footprints
     /// are erased so replacement work does not race against it. Its
@@ -2683,71 +2589,6 @@ impl Scope<'_> {
         };
         engine.cancel_running(self.sim, task.0)
     }
-
-    /// Append a rescue record (and its `StragglerRescued` degradation
-    /// marker), returning the record's index in the rescue log so the
-    /// commit gate can fill in `winner`/`commits` later.
-    pub fn record_rescue(&mut self, rec: RescueRecord) -> usize {
-        let ev = DegradationEvent {
-            kind: DegradationKind::StragglerRescued,
-            device: Some(rec.to),
-            start: rec.start,
-            len: rec.len,
-            bytes: 0,
-        };
-        let idx = {
-            let mut inner = self.inner.borrow_mut();
-            inner.rescue_log.push(rec);
-            inner.rescue_log.len() - 1
-        };
-        record_degradation_inner(self.sim.now(), &mut self.inner.borrow_mut(), ev);
-        idx
-    }
-
-    /// Every straggler rescue launched so far, in launch order.
-    pub fn rescues(&self) -> Vec<RescueRecord> {
-        self.inner.borrow().rescue_log.clone()
-    }
-}
-
-/// Append a degradation event and mirror it as a zero-length marker
-/// span (like fault markers): split/shrink on the device's compute
-/// lane, spill on the host lane with the spilled byte count.
-pub(crate) fn record_degradation_inner(now: SimTime, inner: &mut Inner, ev: DegradationEvent) {
-    let (lane, kind, bytes) = match ev.kind {
-        DegradationKind::AdmissionShrunk => (
-            ev.device
-                .map_or(spread_trace::Lane::Host, spread_trace::Lane::compute),
-            spread_trace::SpanKind::AdmissionShrink,
-            0,
-        ),
-        DegradationKind::ChunkSplit => (
-            ev.device
-                .map_or(spread_trace::Lane::Host, spread_trace::Lane::compute),
-            spread_trace::SpanKind::ChunkSplit,
-            0,
-        ),
-        DegradationKind::Spilled => (
-            spread_trace::Lane::Host,
-            spread_trace::SpanKind::Spill,
-            ev.bytes,
-        ),
-        DegradationKind::StragglerRescued => (
-            ev.device
-                .map_or(spread_trace::Lane::Host, spread_trace::Lane::compute),
-            spread_trace::SpanKind::Rescue,
-            0,
-        ),
-        DegradationKind::CorruptionHealed => (
-            ev.device
-                .map_or(spread_trace::Lane::Host, spread_trace::Lane::compute),
-            spread_trace::SpanKind::Heal,
-            ev.bytes,
-        ),
-    };
-    let label = format!("{:?} [{}..{})", ev.kind, ev.start, ev.start + ev.len);
-    inner.trace.record(lane, kind, label, now, now, bytes);
-    inner.degradations.push(ev);
 }
 
 /// Build the action of a host task: swaps the parent/group context, runs

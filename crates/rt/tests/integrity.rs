@@ -8,10 +8,10 @@ use spread_devices::{DeviceSpec, Topology};
 use spread_rt::directives::Target;
 use spread_rt::prelude::*;
 use spread_rt::{
-    ConstructIds, DegradationKind, ExchangeMode, IntegrityAction, IntegrityBoundary, IntegrityMode,
+    ConstructIds, ExchangeMode, IntegrityAction, IntegrityBoundary, IntegrityMode, PeerCopyRecord,
 };
 use spread_sim::FaultPlan;
-use spread_trace::{SimTime, SpanKind};
+use spread_trace::{Lane, SimTime, SpanKind};
 
 fn runtime_n(n_devices: usize, plan: Option<FaultPlan>) -> Runtime {
     let topo = Topology::uniform(n_devices, DeviceSpec::v100(), 1e9, 1.5e9);
@@ -58,7 +58,10 @@ fn silent_flip_under_off_reaches_host_memory_unnoticed() {
         .filter(|&i| got[i].to_bits() != expected[i].to_bits())
         .collect();
     assert_eq!(wrong.len(), 1, "one flipped element reached host memory");
-    assert!(rt.integrity_events().is_empty(), "off computes no digests");
+    assert!(
+        rt.events::<IntegrityEvent>().is_empty(),
+        "off computes no digests"
+    );
 }
 
 #[test]
@@ -76,7 +79,7 @@ fn silent_flip_under_verify_fails_the_construct_at_the_commit_drain() {
     );
     // The tainted staged set never touched host memory.
     assert_eq!(rt.snapshot_host(a), reference);
-    let events = rt.integrity_events();
+    let events = rt.events::<IntegrityEvent>();
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].device, 0);
     assert_eq!(events[0].boundary, IntegrityBoundary::Commit);
@@ -111,6 +114,30 @@ fn arm_heal(scope: &mut Scope<'_>, a: HostArray, n: usize, ids: ConstructIds) {
     });
 }
 
+/// Each journaled healed integrity event is mirrored as one `Heal`
+/// marker span on the healed device's compute lane.
+fn assert_one_heal_mark_per_healed_event(rt: &Runtime) {
+    let tl = rt.timeline();
+    let marks: Vec<_> = tl
+        .spans()
+        .iter()
+        .filter(|s| s.kind == SpanKind::Heal)
+        .map(|s| (s.lane, s.label.clone()))
+        .collect();
+    let want: Vec<_> = rt
+        .events::<IntegrityEvent>()
+        .iter()
+        .filter(|e| e.action == IntegrityAction::Healed)
+        .map(|e| {
+            let s = e.section;
+            let label = format!("CorruptionHealed [{}..{})", s.start, s.start + s.len);
+            (Lane::compute(e.device), label)
+        })
+        .collect();
+    assert!(!want.is_empty());
+    assert_eq!(marks, want);
+}
+
 #[test]
 fn silent_flip_under_heal_re_executes_and_lands_bit_identical() {
     let n = 512;
@@ -129,19 +156,11 @@ fn silent_flip_under_heal_re_executes_and_lands_bit_identical() {
     .unwrap();
     let expected: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
     assert_eq!(rt.snapshot_host(a), expected, "healed run is bit-identical");
-    let events = rt.integrity_events();
+    let events = rt.events::<IntegrityEvent>();
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].action, IntegrityAction::Healed);
     assert_eq!(events[0].boundary, IntegrityBoundary::Commit);
-    assert!(rt
-        .degradations()
-        .iter()
-        .any(|d| d.kind == DegradationKind::CorruptionHealed && d.device == Some(0)));
-    assert!(rt
-        .timeline()
-        .spans()
-        .iter()
-        .any(|s| s.kind == SpanKind::Heal));
+    assert_one_heal_mark_per_healed_event(&rt);
 }
 
 /// Find the mid-point of the first D2H transfer span of a clean run of
@@ -170,7 +189,7 @@ fn memory_scribble_at_rest_is_caught_at_the_commit_drain() {
     rt.fill_host(a, |i| i as f64);
     let err = run_bump(&mut rt, a, n, IntegrityMode::Verify).unwrap_err();
     assert!(matches!(err, RtError::IntegrityViolation { .. }), "{err:?}");
-    let events = rt.integrity_events();
+    let events = rt.events::<IntegrityEvent>();
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].boundary, IntegrityBoundary::Commit);
 }
@@ -204,7 +223,7 @@ fn a_scribble_with_nothing_staged_is_inert() {
     run_bump(&mut rt, a, n, IntegrityMode::Verify).unwrap();
     let expected: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
     assert_eq!(rt.snapshot_host(a), expected);
-    assert!(rt.integrity_events().is_empty());
+    assert!(rt.events::<IntegrityEvent>().is_empty());
 }
 
 /// Stage device 1 for a peer pull of `a` from device 0.
@@ -236,7 +255,7 @@ fn peer_flip_under_verify_fails_at_the_receive() {
         matches!(err, RtError::IntegrityViolation { device: 1, .. }),
         "{err:?}"
     );
-    let events = rt.integrity_events();
+    let events = rt.events::<IntegrityEvent>();
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].boundary, IntegrityBoundary::Peer);
     assert_eq!(events[0].action, IntegrityAction::Failed);
@@ -262,10 +281,10 @@ fn peer_flip_under_heal_refetches_from_the_host_image() {
     })
     .unwrap();
     assert_eq!(rt.snapshot_host(a), reference, "healed pull is bit-exact");
-    let records = rt.peer_copies();
+    let records = rt.events::<PeerCopyRecord>();
     assert_eq!(records.len(), 1);
     assert!(records[1 - 1].diverted, "the heal replayed the host path");
-    let events = rt.integrity_events();
+    let events = rt.events::<IntegrityEvent>();
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].boundary, IntegrityBoundary::Peer);
     assert_eq!(events[0].action, IntegrityAction::Healed);
@@ -274,10 +293,7 @@ fn peer_flip_under_heal_refetches_from_the_host_image() {
         .spans()
         .iter()
         .any(|s| s.label.ends_with("(host fallback)")));
-    assert!(rt
-        .degradations()
-        .iter()
-        .any(|d| d.kind == DegradationKind::CorruptionHealed && d.device == Some(1)));
+    assert_one_heal_mark_per_healed_event(&rt);
 }
 
 #[test]
@@ -309,7 +325,7 @@ fn a_mismatch_streak_quarantines_the_device() {
         matches!(err, RtError::IntegrityViolation { device: 1, .. }),
         "{err:?}"
     );
-    let events = rt.integrity_events();
+    let events = rt.events::<IntegrityEvent>();
     assert_eq!(events.len(), 2);
     assert_eq!(events[0].action, IntegrityAction::Healed);
     assert_eq!(events[1].action, IntegrityAction::Quarantined);
@@ -345,7 +361,7 @@ fn a_clean_checked_transfer_resets_the_streak() {
     })
     .unwrap();
     assert_eq!(rt.snapshot_host(a), reference);
-    let events = rt.integrity_events();
+    let events = rt.events::<IntegrityEvent>();
     assert_eq!(events.len(), 1, "only the first pull had a token to burn");
     assert_eq!(events[0].action, IntegrityAction::Healed);
     assert!(rt.lost_devices().is_empty());

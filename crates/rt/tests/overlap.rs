@@ -53,7 +53,7 @@ fn run_stencil(depth: u32) -> (Vec<f64>, Vec<OverlapRecord>, u64) {
     assert!(rt.races().is_empty());
     assert_eq!(rt.device_mem_used(0), 0, "all mappings released");
     let elapsed = rt.elapsed().as_nanos();
-    (rt.snapshot_host(b), rt.overlap_records(), elapsed)
+    (rt.snapshot_host(b), rt.events::<OverlapRecord>(), elapsed)
 }
 
 #[test]
@@ -180,7 +180,7 @@ fn depth_clamps_to_iteration_count() {
     for i in 0..n {
         assert_eq!(out[i], i as f64 + 1.0);
     }
-    let recs = rt.overlap_records();
+    let recs = rt.events::<OverlapRecord>();
     assert_eq!(recs.len(), 1);
     assert!(recs[0].h2d_ops <= n as u32, "stages clamp to iterations");
 }
@@ -214,7 +214,7 @@ fn already_present_data_skips_transfers() {
     for i in 0..n {
         assert_eq!(out[i], (i * i) as f64 + 1.0, "A[{i}]");
     }
-    let recs = rt.overlap_records();
+    let recs = rt.events::<OverlapRecord>();
     assert_eq!(recs.len(), 1);
     let r = &recs[0];
     assert_eq!(r.h2d_ops, 0, "data already present: no H2D sub-copies");
@@ -275,7 +275,7 @@ fn two_devices_pipeline_concurrently() {
     for i in 0..n {
         assert_eq!(out[i], 2.0 * i as f64, "B[{i}]");
     }
-    let recs = rt.overlap_records();
+    let recs = rt.events::<OverlapRecord>();
     assert_eq!(recs.len(), 2);
     assert!(recs.iter().all(|r| r.staged == r.committed && !r.leaked));
     assert!(rt.races().is_empty());

@@ -12,6 +12,7 @@ use spread_core::prelude::*;
 use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
+use spread_trace::ConstructProfile;
 
 const N_GPUS: usize = 2;
 const SLOW_FACTOR: f64 = 3.0;
@@ -86,7 +87,7 @@ fn auto_learns_to_shift_planes_off_the_slow_device() {
     let cfg = config(5, true);
     let mut rt = cfg.runtime(N_GPUS);
     run_spread_scoped(&mut rt, &cfg, N_GPUS, auto_keys).unwrap();
-    let profiles = rt.profiles();
+    let profiles = rt.events::<ConstructProfile>();
     assert!(!profiles.is_empty(), "auto launches record profiles");
     // Every Somier kernel key ends up with less weight on the slow
     // device 0 than on device 1.

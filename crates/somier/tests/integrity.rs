@@ -7,7 +7,7 @@
 //! at all: the rot reaches the host and the centers drift.
 
 use spread_core::{IntegrityMode, SpreadClausesExt};
-use spread_rt::{IntegrityAction, IntegrityBoundary, RtError};
+use spread_rt::{IntegrityAction, IntegrityBoundary, IntegrityEvent, RtError};
 use spread_sim::FaultPlan;
 use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
@@ -40,7 +40,7 @@ fn integrity_variant_matches_reference_without_flips() {
     assert_eq!(report.centers, reference.centers, "centers bit-exact");
     assert_eq!(report.races, 0);
     assert!(
-        rt.integrity_events().is_empty(),
+        rt.events::<IntegrityEvent>().is_empty(),
         "a clean run must never trip a checked boundary"
     );
 }
@@ -59,7 +59,7 @@ fn bit_identical_with_three_flips_under_heal() {
         "healed run must be bit-identical to the reference"
     );
     assert_eq!(report.races, 0);
-    let events = rt.integrity_events();
+    let events = rt.events::<IntegrityEvent>();
     let healed: Vec<_> = events
         .iter()
         .filter(|e| e.action == IntegrityAction::Healed)
@@ -81,7 +81,7 @@ fn bit_identical_with_three_flips_under_heal() {
         );
     }
     // Each heal leaves two Heal spans: the healer's redo marker plus
-    // the CorruptionHealed degradation mirrored onto the timeline.
+    // the journaled healed integrity event's marker.
     let heal_spans = rt
         .timeline()
         .spans()
@@ -100,7 +100,7 @@ fn healing_is_deterministic() {
             t.with_integrity(IntegrityMode::Heal)
         })
         .unwrap();
-        (report.centers, rt.integrity_events(), rt.elapsed())
+        (report.centers, rt.events::<IntegrityEvent>(), rt.elapsed())
     };
     let (c1, e1, t1) = run();
     let (c2, e2, t2) = run();
@@ -125,7 +125,7 @@ fn verify_poisons_on_the_first_checked_boundary() {
         "the violation names a flipped device, got {device}"
     );
     assert!(
-        rt.integrity_events()
+        rt.events::<IntegrityEvent>()
             .iter()
             .any(|e| e.action == IntegrityAction::Failed && e.device == device),
         "the ledger records the failed verification"
@@ -157,7 +157,7 @@ fn off_lets_the_rot_reach_the_host() {
         "unchecked flips must corrupt the result"
     );
     assert!(
-        rt.integrity_events().is_empty(),
+        rt.events::<IntegrityEvent>().is_empty(),
         "off mode never digests, so nothing is ever caught"
     );
 }

@@ -5,7 +5,7 @@
 //! windows — in both the split and the spill mode.
 
 use spread_core::{PressurePolicy, SpreadClausesExt};
-use spread_rt::{DegradationKind, RtError};
+use spread_rt::{DegradationEvent, DegradationKind, RtError};
 use spread_sim::FaultPlan;
 use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
@@ -40,7 +40,7 @@ fn pressure_variant_matches_reference_on_a_healthy_machine() {
     assert_eq!(report.centers, reference.centers, "centers bit-exact");
     assert_eq!(report.races, 0);
     assert!(
-        rt.degradations().is_empty(),
+        rt.events::<DegradationEvent>().is_empty(),
         "full-size devices must not degrade"
     );
 }
@@ -59,7 +59,7 @@ fn split_mode_completes_bit_identical_at_60_percent_memory() {
         "degraded run must stay bit-identical to the reference"
     );
     assert_eq!(report.races, 0);
-    let evs = rt.degradations();
+    let evs = rt.events::<DegradationEvent>();
     assert!(!evs.is_empty(), "60% memory must force degradation");
     assert!(
         evs.iter().any(|e| e.kind == DegradationKind::ChunkSplit),
@@ -94,7 +94,7 @@ fn spill_mode_completes_bit_identical_at_60_percent_memory() {
         "spilled run must stay bit-identical to the reference"
     );
     assert_eq!(report.races, 0);
-    let evs = rt.degradations();
+    let evs = rt.events::<DegradationEvent>();
     assert!(
         evs.iter().any(|e| e.kind == DegradationKind::Spilled),
         "this pressure level must spill, got {evs:?}"
@@ -135,7 +135,11 @@ fn degraded_runs_are_deterministic() {
         let mut rt = cfg.runtime_with_faults(N_GPUS, sustained(0xD1, 20_000));
         let report =
             run_spread_scoped(&mut rt, &cfg, N_GPUS, |t, _| t.with_pressure(policy)).unwrap();
-        (report.centers, report.elapsed, rt.degradations())
+        (
+            report.centers,
+            report.elapsed,
+            rt.events::<DegradationEvent>(),
+        )
     };
     assert_eq!(run(PressurePolicy::Split), run(PressurePolicy::Split));
     assert_eq!(run(PressurePolicy::Spill), run(PressurePolicy::Spill));

@@ -102,7 +102,7 @@ fn pipelined_somier_keeps_commits_whole_piece() {
     let cfg = config();
     let mut rt = cfg.runtime(N_GPUS);
     run_spread_overlap(&mut rt, &cfg, N_GPUS, DEPTH).expect("pipelined run");
-    let recs = rt.overlap_records();
+    let recs = rt.events::<spread_rt::OverlapRecord>();
     assert!(!recs.is_empty(), "the pipeline must engage");
     for r in &recs {
         assert!(!r.leaked, "no sub-slice commit may escape early");

@@ -5,6 +5,7 @@
 //! host round-trip on the CTE-POWER machine.
 
 use spread_core::{ExchangeMode, ResiliencePolicy};
+use spread_rt::PeerCopyRecord;
 use spread_sim::FaultPlan;
 use spread_somier::one_buffer::run_spread_peer;
 use spread_somier::reference::run_reference;
@@ -57,7 +58,10 @@ fn auto_matches_host_mode_and_the_reference_bit_exact() {
     };
     assert_eq!(peer_spans(&host_rt), 0);
     assert!(peer_spans(&auto_rt) > 0, "auto must route halos D2D");
-    assert!(auto_rt.peer_copies().iter().all(|r| !r.diverted));
+    assert!(auto_rt
+        .events::<PeerCopyRecord>()
+        .iter()
+        .all(|r| !r.diverted));
 
     // The point of the exercise: the halo phase gets faster.
     assert!(
@@ -79,7 +83,12 @@ fn peer_runs_are_deterministic() {
             ResiliencePolicy::FailStop,
         )
         .unwrap();
-        (report.centers, report.elapsed, halo, rt.peer_copies().len())
+        (
+            report.centers,
+            report.elapsed,
+            halo,
+            rt.events::<PeerCopyRecord>().len(),
+        )
     };
     assert_eq!(run(), run());
 }
@@ -125,7 +134,7 @@ fn degraded_link_still_routes_peer_and_stays_bit_identical() {
         .count();
     assert!(peer_spans > 0, "auto must still route halos D2D");
     assert!(
-        rt.peer_copies().iter().all(|r| !r.diverted),
+        rt.events::<PeerCopyRecord>().iter().all(|r| !r.diverted),
         "diversion is a liveness decision, not a timing one"
     );
     assert!(
@@ -148,5 +157,5 @@ fn single_device_auto_degrades_to_host_route() {
     .unwrap();
     let reference = run_reference(&cfg, cfg.buffer_planes(1));
     assert_eq!(report.centers, reference.centers);
-    assert!(rt.peer_copies().is_empty());
+    assert!(rt.events::<PeerCopyRecord>().is_empty());
 }

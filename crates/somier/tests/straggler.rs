@@ -8,7 +8,7 @@
 //! `BENCH_straggler.json`.
 
 use spread_core::{SpreadClausesExt, StragglerPolicy};
-use spread_rt::{RtError, Runtime};
+use spread_rt::{RescueRecord, RtError, Runtime};
 use spread_sim::FaultPlan;
 use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
@@ -59,7 +59,7 @@ fn straggler_variant_matches_reference_without_faults() {
     assert_eq!(report.centers, reference.centers, "centers bit-exact");
     assert_eq!(report.races, 0);
     assert!(
-        rt.rescues().is_empty(),
+        rt.events::<RescueRecord>().is_empty(),
         "a healthy run must never speculate"
     );
 }
@@ -76,7 +76,7 @@ fn bit_identical_with_8x_slowdown_mid_run() {
         "rescued run must be bit-identical to the reference"
     );
     assert_eq!(report.races, 0);
-    let rescues = rt.rescues();
+    let rescues = rt.events::<RescueRecord>();
     assert!(!rescues.is_empty(), "an 8x mid-run slowdown must rescue");
     for r in &rescues {
         assert_eq!(r.from, SLOW_DEVICE, "only the slowed device straggles");
@@ -101,7 +101,7 @@ fn replicate_keeps_both_copies_and_stays_bit_identical() {
     let report = run_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Replicate).unwrap();
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers);
-    let rescues = rt.rescues();
+    let rescues = rt.events::<RescueRecord>();
     assert!(!rescues.is_empty());
     for r in &rescues {
         assert_eq!(r.commits, 1, "duplicated execution, single commit");
@@ -116,7 +116,10 @@ fn wait_policy_only_watches() {
     let report = run_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Wait).unwrap();
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers);
-    assert!(rt.rescues().is_empty(), "wait never speculates");
+    assert!(
+        rt.events::<RescueRecord>().is_empty(),
+        "wait never speculates"
+    );
 }
 
 /// The rescue path pays an extra enter + H2D on the sibling, so the
@@ -157,7 +160,7 @@ fn rescue_is_deterministic() {
         (
             report.centers,
             rt.elapsed().as_nanos(),
-            format!("{:?}", rt.rescues()),
+            format!("{:?}", rt.events::<RescueRecord>()),
         )
     };
     assert_eq!(run(), run());

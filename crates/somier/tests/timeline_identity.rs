@@ -6,15 +6,20 @@
 //!
 //! The construct-scoped cases are one program under different clauses;
 //! on a fault-free machine five of them pin the *same* timeline. Each
-//! case also pins the runtime's decision records (degradations,
-//! rescues, integrity events, peer copies, overlap records, profiles).
+//! case also pins the runtime's journal (degradations, rescues,
+//! integrity events, peer copies, overlap records, profiles).
+
+use std::fmt::Debug;
 
 use spread_core::prelude::*;
-use spread_rt::{DegradationKind, Runtime};
+use spread_rt::{
+    DegradationEvent, DegradationKind, Event, IntegrityEvent, JournalRecord, OverlapRecord,
+    PeerCopyRecord, RescueRecord, Runtime,
+};
 use spread_sim::FaultPlan;
 use spread_somier::one_buffer::{run_spread_overlap, run_spread_peer, run_spread_scoped};
 use spread_somier::{run_somier, SomierConfig, SomierImpl};
-use spread_trace::SimTime;
+use spread_trace::{ConstructProfile, SimTime};
 
 /// FNV-1a over a byte stream (stable across toolchains, unlike
 /// `DefaultHasher`).
@@ -58,31 +63,21 @@ fn timeline_hash(rt: &Runtime) -> (usize, u64) {
     (tl.len(), h.0)
 }
 
-/// `(record counts, FNV-1a hash)` of a finished runtime's decision
-/// records, in the order degradations, rescues, integrity events, peer
-/// copies, overlap records, profiles.
+/// `(record counts, FNV-1a hash)` of a finished runtime's journal, one
+/// record list per variant in the order degradations, rescues,
+/// integrity events, peer copies, overlap records, profiles.
 fn ledger_hash(rt: &Runtime) -> ([usize; 6], u64) {
-    let degradations: Vec<_> = rt
-        .degradations()
-        .into_iter()
-        .filter(|e| {
-            e.kind != DegradationKind::StragglerRescued
-                && e.kind != DegradationKind::CorruptionHealed
-        })
-        .collect();
+    fn list<T: JournalRecord + Debug>(rt: &Runtime) -> (usize, String) {
+        let v = rt.events::<T>();
+        (v.len(), format!("{v:?}"))
+    }
     let ledgers = [
-        (degradations.len(), format!("{degradations:?}")),
-        (rt.rescues().len(), format!("{:?}", rt.rescues())),
-        (
-            rt.integrity_events().len(),
-            format!("{:?}", rt.integrity_events()),
-        ),
-        (rt.peer_copies().len(), format!("{:?}", rt.peer_copies())),
-        (
-            rt.overlap_records().len(),
-            format!("{:?}", rt.overlap_records()),
-        ),
-        (rt.profiles().len(), format!("{:?}", rt.profiles())),
+        list::<DegradationEvent>(rt),
+        list::<RescueRecord>(rt),
+        list::<IntegrityEvent>(rt),
+        list::<PeerCopyRecord>(rt),
+        list::<OverlapRecord>(rt),
+        list::<ConstructProfile>(rt),
     ];
     let mut h = Fnv::new();
     for (_, v) in &ledgers {
@@ -91,13 +86,13 @@ fn ledger_hash(rt: &Runtime) -> ([usize; 6], u64) {
     (ledgers.map(|(n, _)| n), h.0)
 }
 
-/// The decision kinds in recording order, run-length encoded.
+/// The journal's decision kinds in recording order, run-length encoded.
 fn decision_order(rt: &Runtime) -> Vec<(&'static str, usize)> {
     let mut runs: Vec<(&'static str, usize)> = Vec::new();
-    for e in rt.degradations() {
-        let kind = match e.kind {
-            DegradationKind::ChunkSplit => "split",
-            DegradationKind::StragglerRescued => "rescue",
+    for e in rt.journal() {
+        let kind = match e {
+            Event::Degraded(d) if d.kind == DegradationKind::ChunkSplit => "split",
+            Event::Rescue(_) => "rescue",
             _ => "other",
         };
         match runs.last_mut() {

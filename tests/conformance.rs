@@ -7,7 +7,7 @@
 
 use spread_check::{
     ast::{FaultMode, FaultSpec, KernelOp, PressureSpec, Program, Sched, Stmt},
-    check_program, check_seed, fuzz, gen, oracle, pretty, shrink_seed, CheckConfig, Fault,
+    check_program, check_seed, fuzz, gen, oracle, pretty, shrink_seed, CheckConfig, Fault, Mode,
 };
 use spread_core::PressurePolicy;
 use spread_rt::RtError;
@@ -32,7 +32,7 @@ fn fuzz_with_fault_plans_agrees_with_oracle() {
     // the oracle's prediction under every interleaving.
     let cfg = CheckConfig {
         interleavings: 2,
-        faults: true,
+        mode: Mode::Faults,
         ..CheckConfig::default()
     };
     let report = fuzz(0xFA17, 30, &cfg, |_, _| {});
@@ -187,7 +187,7 @@ fn fuzz_with_pressure_agrees_with_oracle() {
     // predicts, under every interleaving.
     let cfg = CheckConfig {
         interleavings: 2,
-        pressure: true,
+        mode: Mode::Pressure,
         ..CheckConfig::default()
     };
     let report = fuzz(0x9E55, 30, &cfg, |_, _| {});
@@ -227,15 +227,14 @@ fn spill_canary_is_caught() {
     };
     let clean = CheckConfig {
         interleavings: 2,
-        pressure: true,
+        mode: Mode::Pressure,
         ..CheckConfig::default()
     };
     check_program(&p, 17, &clean).expect("the spilled run matches the oracle bit-for-bit");
     let canary = CheckConfig {
         interleavings: 2,
         fault: Some(Fault::SpillDropsSlice),
-        pressure: true,
-        ..CheckConfig::default()
+        mode: Mode::Pressure,
     };
     let failure = check_program(&p, 17, &canary)
         .expect_err("a spill that truncated its last slice must be flagged");
@@ -253,7 +252,7 @@ fn fuzz_with_peer_agrees_with_oracle() {
     // route set.
     let cfg = CheckConfig {
         interleavings: 2,
-        peer: true,
+        mode: Mode::Peer,
         ..CheckConfig::default()
     };
     let report = fuzz(0xD2D, 30, &cfg, |_, _| {});
@@ -301,15 +300,14 @@ fn peer_canary_is_caught() {
     );
     let clean = CheckConfig {
         interleavings: 2,
-        peer: true,
+        mode: Mode::Peer,
         ..CheckConfig::default()
     };
     check_program(&p, 23, &clean).expect("the peer-routed run matches the oracle bit-for-bit");
     let canary = CheckConfig {
         interleavings: 2,
         fault: Some(Fault::PeerCorrupt),
-        peer: true,
-        ..CheckConfig::default()
+        mode: Mode::Peer,
     };
     let failure = check_program(&p, 23, &canary)
         .expect_err("a corrupted peer copy must be flagged on the auto run");
